@@ -27,7 +27,7 @@ from .fieldspace import (
     self_energy,
     tree_propagators,
 )
-from .medium import MediumParams, NuZero, chi1_scalar, chi1_spectrum, kk_reconstruct
+from .medium import MediumParams, NuZero, chi1_spectrum, kk_reconstruct
 from .nonlinear import chi3, lambda_from_config
 from .serialize import (
     comb_from_obj,
@@ -211,13 +211,14 @@ def _cmd_kk_check(config: RunConfig, args) -> list:
         )
         return [path]
     grid = config.omega_grid
-    vals = np.asarray([chi1_scalar(config.medium, w) for w in grid])
+    vals = chi1_spectrum(config.medium, grid).values[:, 0, 0]
     recon = kk_reconstruct(grid, vals.imag)
     n = grid.size
     interior = slice(int(0.1 * n), int(0.9 * n))
-    denom = np.abs(vals.real[interior])
-    denom = np.where(denom > 0, denom, 1.0)
-    max_rel = float(np.max(np.abs(recon[interior] - vals.real[interior]) / denom))
+    # errors relative to the largest |Re chi1| in the window: a pointwise
+    # ratio diverges where Re chi1 crosses zero, however accurate the sum
+    scale = float(np.max(np.abs(vals.real[interior]))) or 1.0
+    max_rel = float(np.max(np.abs(recon[interior] - vals.real[interior]))) / scale
     write_json(
         path,
         {
@@ -268,7 +269,9 @@ def _cmd_propagators(config: RunConfig, args) -> list:
 def _cmd_dyson(config: RunConfig, args) -> list:
     lam = _need_lambda(config)
     mode = args.mode
-    cutoff = config.loop_cutoff if config.loop_cutoff is not None else config.medium.loop_cutoff
+    # the loop evaluates the kernel at both window ends, so the default
+    # window stays strictly inside the kernel support |W| < loop_cutoff
+    cutoff = config.loop_cutoff if config.loop_cutoff is not None else 0.5 * config.medium.loop_cutoff
     quad = LoopQuadrature(n_points=config.loop_n_points, cutoff=cutoff)
     pol = np.array([1.0, 0.0, 0.0])
     samples = []

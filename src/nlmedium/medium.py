@@ -18,6 +18,16 @@ Kramers-Kronig relations hold.  Concretely
 with ``q = |nu|**2`` and ``U`` the support end capped at ``loop_cutoff``.
 ``sigma(0) = 0`` exactly, so ``chi1(0) = chi_s`` in the lossless and lossy
 cases alike.
+
+Evaluation: one principal-value quadrature serves every caller.  It takes
+an array of positive frequencies, one quadrature row each, and runs them
+in chunks that keep every temporary at or below 2**15 elements.
+``chi1_spectrum`` evaluates a whole grid with one such call; the scalar
+entry points (``chi1``, ``gamma_response``, ``reservoir_kernel``) call it
+with one row and cache the result per (medium, frequency).  Negative
+frequencies are folded by complex conjugation, so Hermitian analyticity
+holds bitwise.  ``kk_reconstruct`` is a row-chunked matrix form of the
+Kramers-Kronig sum.
 """
 
 from __future__ import annotations
@@ -252,69 +262,155 @@ class Rank2Response:
         return float(np.max(dev / np.where(scale > 0, scale, 1.0)))
 
 
-def _cluster(center: float, span: float, floor: float) -> np.ndarray:
-    """Geometric node cluster on both sides of ``center``."""
-    if span <= floor:
-        return np.asarray([])
-    offs = np.geomspace(floor, span, 24)
-    return np.concatenate([center - offs, center + offs])
+# Row chunks keep every (rows x nodes) temporary of the kernel and of the
+# Kramers-Kronig sum at or below this many elements (256 KiB of float64).
+# Larger chunks save little Python overhead, and past this size the
+# allocator tends to map and unmap each temporary afresh, so page faults
+# take more time than the arithmetic.
+_CHUNK_ELEMENTS = 1 << 15
+_CLUSTER_STEPS = np.arange(24.0)
+
+
+def _cluster(center, span, floor):
+    """Geometric node cluster on both sides of ``center``, ascending.
+
+    ``center`` and ``span`` may be arrays; each row then holds the 48 nodes
+    of one center.  The offsets are ``np.geomspace(floor, span, 24)``
+    spelled out: the library call alone costs about a quarter of a one-row
+    kernel evaluation.
+    """
+    log_floor = np.log10(floor)
+    span = np.asarray(span, dtype=float)[..., None]
+    offs = 10.0 ** (_CLUSTER_STEPS * ((np.log10(span) - log_floor) / 23) + log_floor)
+    offs[..., 0] = floor
+    offs[..., -1:] = span
+    center = np.asarray(center)[..., None]
+    return np.concatenate([center - offs[..., ::-1], center + offs], axis=-1)
 
 
 @lru_cache(maxsize=64)
 def _static_nodes(nu, upper: float, n_base: int = 1500):
-    """Pole-independent quadrature nodes with the coupling values attached."""
+    """Pole-independent quadrature nodes, shared by every target frequency.
+
+    Returns the nodes, their squares, the coupling values on them and the
+    half interval widths.
+    """
     floor = 1e-9 * upper
     parts = [np.linspace(0.0, upper, n_base)]
     breaks = np.atleast_1d(nu.breakpoints())
     parts.append(breaks[(breaks > 0.0) & (breaks < upper)])
     # the support edge can carry a jump in q; resolve it geometrically
     edge = float(nu.support_end())
-    if 0.0 < edge < upper:
-        parts.append(_cluster(edge, 0.25 * min(edge, upper - edge), floor))
+    span = 0.25 * min(edge, upper - edge)
+    if 0.0 < edge < upper and span > floor:
+        parts.append(_cluster(edge, span, floor))
     nodes = np.unique(np.concatenate(parts))
     nodes = nodes[(nodes >= 0.0) & (nodes <= upper)]
-    return nodes, np.asarray(nu.q(nodes), dtype=float)
+    return nodes, nodes * nodes, np.asarray(nu.q(nodes), dtype=float), 0.5 * np.diff(nodes)
 
 
-def _pv_integral(nu, upper: float, w: float) -> float:
-    """PV of integral_0^upper q(x) / (x**2 - w**2) dx for 0 < w < upper.
+def _pv_rows(nu, upper: float, w: np.ndarray, qw: np.ndarray) -> np.ndarray:
+    """PV of integral_0^upper q(x) / (x**2 - w**2) dx for each 0 < w < upper.
 
-    Subtracts the pole (q(x) -> q(x) - q(w)) and adds the subtracted part
-    back through the closed-form primitive of 1/(x**2 - w**2).
+    ``qw`` holds q(w).  Every row is a trapezoid sum over the shared static
+    nodes merged with a 48-node geometric cluster around its own pole.  The
+    pole is subtracted (q(x) -> q(x) - q(w)) and added back through the
+    closed-form primitive of 1/(x**2 - w**2).  Rows are computed
+    independently of each other, in chunks that bound the temporaries, so
+    a value does not depend on which other frequencies share the call.
     """
-    base_x, base_q = _static_nodes(nu, upper)
-    extra = _cluster(w, 0.5 * min(w, upper - w), 1e-9 * upper)
-    extra = extra[(extra > 0.0) & (extra < upper)]
-    x = np.concatenate([base_x, extra])
-    q = np.concatenate([base_q, np.asarray(nu.q(extra), dtype=float)])
-    order = np.argsort(x, kind="stable")
-    x = x[order]
-    q = q[order]
-    keep = np.abs(x - w) > 1e-13 * max(upper, 1.0)
-    x = x[keep]
-    q = q[keep]
-    qw = float(nu.q(np.asarray([w]))[0])
-    with np.errstate(invalid="ignore", over="ignore"):
-        integrand = (q - qw) / (x * x - w * w)
-        pv = float(np.trapezoid(integrand, x))
-    if qw != 0.0:
-        # PV int_0^U dx/(x^2-w^2) = ln((U-w)/(U+w)) / (2w)
-        pv += qw * math.log((upper - w) / (upper + w)) / (2.0 * w)
-    if not math.isfinite(pv):
+    nodes = _static_nodes(nu, upper)
+    step = max(1, _CHUNK_ELEMENTS // nodes[0].size)
+    pv = np.concatenate(
+        [
+            _pv_chunk(nu, upper, w[i : i + step], qw[i : i + step], *nodes)
+            for i in range(0, w.size, step)
+        ]
+    )
+    # PV int_0^U dx/(x^2-w^2) = ln((U-w)/(U+w)) / (2w)
+    pv += qw * np.log((upper - w) / (upper + w)) / (2.0 * w)
+    if not np.isfinite(pv).all():
         raise QuadratureError("kernel quadrature failed")
     return pv
 
 
+def _pv_chunk(nu, upper, w, qw, x, x2, q, half_dx):
+    """Trapezoid sums of the pole-subtracted integrand for one row chunk.
+
+    The cluster is merged by position, not by sorting: a base interval that
+    receives cluster nodes drops out of the base sum and the pieces it is
+    cut into are added instead.  A row thus sums exactly the trapezoid
+    terms of its merged node list.  A base node within ``tol`` of the pole
+    is dropped from that list; cluster nodes keep at least ``floor`` from
+    the pole, which exceeds ``tol`` whenever ``upper > 1e-4``.
+    """
+    floor = 1e-9 * upper
+    tol = 1e-13 * max(upper, 1.0)
+    qw = qw[:, None]
+    w2 = (w * w)[:, None]
+    span = 0.5 * np.minimum(w, upper - w)
+    rows = np.flatnonzero(span > floor)
+    r = rows[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f = (q - qw) / (x2 - w2)
+        terms = half_dx * (f[:, 1:] + f[:, :-1])
+        e = _cluster(w[rows], span[rows], floor)
+        g = (np.asarray(nu.q(e), dtype=float) - qw[rows]) / (e * e - w2[rows])
+        s = np.searchsorted(x, e, side="right")  # x[s - 1] <= e < x[s]
+        terms[r, s - 1] = 0.0
+        # cluster node k shares its base interval with node k - 1
+        same = s[:, 1:] == s[:, :-1]
+        prev_x = x[s - 1]
+        prev_x[:, 1:][same] = e[:, :-1][same]
+        prev_f = f[r, s - 1]
+        prev_f[:, 1:][same] = g[:, :-1][same]
+        left = (e - prev_x) * (g + prev_f) / 2.0
+        right = (x[s] - e) * (f[r, s] + g) / 2.0
+        right[:, :-1][same] = 0.0
+    bridge = np.zeros(w.size)
+    lo, hi = np.searchsorted(x, w + np.asarray([[-2.0 * tol], [2.0 * tol]]))
+    for i in np.flatnonzero(hi > lo):
+        near = lo[i] + np.flatnonzero(np.abs(x[lo[i] : hi[i]] - w[i]) <= tol)
+        if near.size == 0:
+            continue
+        a, b = near[0], near[-1]
+        # drop every term touching the run a..b, then bridge its merged
+        # neighbours; the innermost cluster nodes 23 and 24 straddle the run
+        terms[i, max(a - 1, 0) : b + 1] = 0.0
+        prev = (x[a - 1], f[i, a - 1]) if a > 0 else None
+        succ = (x[b + 1], f[i, b + 1]) if b + 1 < x.size else None
+        k = np.searchsorted(rows, i)
+        if k < rows.size and rows[k] == i:
+            if s[k, 23] == a:
+                prev = (e[k, 23], g[k, 23])
+                right[k, 23] = 0.0
+            if s[k, 24] == b + 1:
+                succ = (e[k, 24], g[k, 24])
+                left[k, 24] = 0.0
+        if prev is not None and succ is not None:
+            bridge[i] = (succ[0] - prev[0]) * (succ[1] + prev[1]) / 2.0
+    total = terms.sum(axis=1) + bridge
+    total[rows] += (left + right).sum(axis=1)
+    return total
+
+
+def _kernel(params: MediumParams, w: np.ndarray) -> np.ndarray:
+    """Reservoir kernel at positive frequencies (a 1-D array), one row each."""
+    if not (w < params.loop_cutoff).all():
+        raise KernelSupportError("frequency outside kernel support")
+    out = np.zeros(w.shape, dtype=complex)
+    if isinstance(params.nu, NuZero) or w.size == 0:
+        return out
+    qw = np.asarray(params.nu.q(w), dtype=float)
+    scale = w * w / params.rho
+    out.real = scale * _pv_rows(params.nu, params.loop_cutoff, w, qw)
+    out.imag = scale * (math.pi * qw / (2.0 * w))
+    return out
+
+
 @lru_cache(maxsize=1 << 16)
 def _sigma_positive(params: MediumParams, omega: float) -> complex:
-    if omega >= params.loop_cutoff:
-        raise KernelSupportError("frequency outside kernel support")
-    if isinstance(params.nu, NuZero):
-        return 0.0 + 0.0j
-    pv = _pv_integral(params.nu, params.loop_cutoff, omega)
-    q_at = float(params.nu.q(np.asarray([omega]))[0])
-    half_residue = math.pi * q_at / (2.0 * omega)
-    return (omega * omega / params.rho) * complex(pv, half_residue)
+    return complex(_kernel(params, np.asarray([omega]))[0])
 
 
 def _sigma_scalar(params: MediumParams, omega: float) -> complex:
@@ -324,6 +420,16 @@ def _sigma_scalar(params: MediumParams, omega: float) -> complex:
     if omega == 0.0:
         return 0.0 + 0.0j
     return _sigma_positive(params, omega)
+
+
+def _sigma_values(params: MediumParams, omega) -> np.ndarray:
+    """Reservoir kernel on a frequency array, folded like ``_sigma_scalar``."""
+    w = np.asarray(omega, dtype=float)
+    a = np.abs(w)
+    out = np.zeros(w.shape, dtype=complex)
+    nonzero = a != 0.0
+    out[nonzero] = _kernel(params, a[nonzero])
+    return np.where(w < 0.0, out.conj(), out)
 
 
 def reservoir_kernel(params: MediumParams, omega: float) -> np.ndarray:
@@ -338,12 +444,34 @@ def reservoir_kernel(params: MediumParams, omega: float) -> np.ndarray:
 def _gamma_scalar(params: MediumParams, omega: float) -> complex:
     if omega < 0.0:
         return np.conj(_gamma_scalar(params, -omega))
+    if omega == 0.0:
+        # sigma(0) = 0 leaves the static limit, which is kept exact
+        return complex(params.eps0 * params.chi_s)
     w0sq = params.omega0**2
-    sigma = _sigma_scalar(params, omega)
+    sigma = _sigma_positive(params, omega)
     den = w0sq - omega**2 - omega**2 * w0sq * params.eps0 * params.chi_s * sigma
     if abs(den) < 1e-14:
         raise ResponsePoleError("response pole hit")
     return params.eps0 * w0sq * params.chi_s / den
+
+
+def _gamma_values(params: MediumParams, omega) -> np.ndarray:
+    """``_gamma_scalar`` on a frequency array, with one kernel call.
+
+    ``_gamma_scalar`` stays in Python scalars: its warm-cache calls (tens of
+    thousands per loop integral) would pay more for numpy dispatch than for
+    the arithmetic.
+    """
+    w = np.asarray(omega, dtype=float)
+    a = np.abs(w)
+    w0sq = params.omega0**2
+    sigma = _sigma_values(params, a)
+    den = w0sq - a**2 - a**2 * w0sq * params.eps0 * params.chi_s * sigma
+    if np.any(np.abs(den) < 1e-14):
+        raise ResponsePoleError("response pole hit")
+    gamma = params.eps0 * w0sq * params.chi_s / den
+    gamma[a == 0.0] = params.eps0 * params.chi_s
+    return np.where(w < 0.0, gamma.conj(), gamma)
 
 
 def gamma_response(params: MediumParams, omega: float) -> np.ndarray:
@@ -366,12 +494,18 @@ def chi1_scalar(params: MediumParams, omega: float) -> complex:
 
 
 def chi1_spectrum(params: MediumParams, freq_grid) -> Rank2Response:
-    """Sample chi1 on a frequency grid."""
+    """Sample chi1 on a frequency grid in one vectorised pass.
+
+    One kernel call covers the whole grid, in row chunks of bounded size.
+    Values agree with ``chi1`` point by point to rounding.
+    """
     grid = np.asarray(freq_grid, dtype=float)
-    vals = np.empty((grid.size, 3, 3), dtype=complex)
-    for i, w in enumerate(grid):
-        vals[i] = chi1(params, w)
-    return Rank2Response(freq_grid=grid, values=vals)
+    if params.g == 0:
+        return Rank2Response(freq_grid=grid, values=np.zeros((grid.size, 3, 3), dtype=complex))
+    gamma = _gamma_values(params, grid)
+    return Rank2Response(
+        freq_grid=grid, values=gamma[:, None, None] * np.eye(3, dtype=complex) / params.eps0
+    )
 
 
 def kk_reconstruct(freq_grid, im_part) -> np.ndarray:
@@ -416,32 +550,35 @@ def kk_reconstruct(freq_grid, im_part) -> np.ndarray:
 
     n = grid.size
     f = grid * im  # numerator x * Im chi(x)
-    re = np.empty(n)
-    for i in range(n):
-        w = grid[i]
-        if i == 0 and w == 0.0:
-            # Re chi(0) = (2/pi) int Im chi(x)/x dx; Im chi is odd so the
-            # integrand is finite at x = 0.
-            vals = np.empty(n)
-            vals[1:] = im[1:] / grid[1:]
-            vals[0] = im[1] / grid[1]
-            re[i] = (2.0 / math.pi) * np.trapezoid(vals, grid)
-            continue
-        lo = max(i - 1, 0)
-        hi = min(i + 1, n - 1)
-        total = 0.0
+    x2 = grid * grid
+    # half[j] is half the width of the interval ending at node j
+    half = np.concatenate([[0.0], 0.5 * np.diff(grid), [0.0]])
+    weights = half[:-1] + half[1:]  # trapezoid weights of the full grid
+    total = np.empty(n)
+    step = max(1, _CHUNK_ELEMENTS // n)
+    for start in range(0, n, step):
+        i = np.arange(start, min(start + step, n))
+        r = np.arange(i.size)
         with np.errstate(divide="ignore", invalid="ignore"):
-            integrand = f / (grid * grid - w * w)
-        if lo > 0:
-            total += np.trapezoid(integrand[: lo + 1], grid[: lo + 1])
-        if hi < n - 1:
-            total += np.trapezoid(integrand[hi:], grid[hi:])
-        # local correction over the excluded window
-        gvals = f / (grid + w)
-        if 0 < i < n - 1:
-            a = w - grid[i - 1]
-            b = grid[i + 1] - w
-            gp = (gvals[i + 1] - gvals[i - 1]) / (a + b)
-            total += gvals[i] * math.log(b / a) + gp * (a + b)
-        re[i] = (2.0 / math.pi) * total
+            integrand = f / (x2 - x2[i, None])
+        # leave out the two intervals adjacent to the singular node i
+        integrand[r, i] = 0.0
+        below = integrand[r, np.maximum(i - 1, 0)]
+        above = integrand[r, np.minimum(i + 1, n - 1)]
+        total[i] = integrand @ weights - half[i] * below - half[i + 1] * above
+    # local correction over the excluded window, interior nodes only
+    w = grid[1:-1]
+    a = w - grid[:-2]
+    b = grid[2:] - w
+    g_lo = f[:-2] / (grid[:-2] + w)
+    g_hi = f[2:] / (grid[2:] + w)
+    total[1:-1] += f[1:-1] / (w + w) * np.log(b / a) + (g_hi - g_lo) / (a + b) * (a + b)
+    re = (2.0 / math.pi) * total
+    if grid[0] == 0.0:
+        # Re chi(0) = (2/pi) int Im chi(x)/x dx; Im chi is odd so the
+        # integrand is finite at x = 0.
+        vals = np.empty(n)
+        vals[1:] = im[1:] / grid[1:]
+        vals[0] = im[1] / grid[1]
+        re[0] = (2.0 / math.pi) * np.trapezoid(vals, grid)
     return re

@@ -1,9 +1,10 @@
 """Deterministic artifact serialization.
 
-Numbers are written with 17 significant digits so every double round-trips
-exactly; complex values are [re, im] pairs.  JSON output is canonical
-(sorted keys, fixed separators), which makes artifacts byte-identical for
-identical configurations.
+Every double round-trips exactly: JSON numbers use Python's shortest
+round-trip repr and CSV cells use 17 significant digits (``%.17g``).
+Complex values are [re, im] pairs.  JSON output is canonical (sorted keys,
+fixed separators), which makes artifacts byte-identical for identical
+configurations.
 """
 
 from __future__ import annotations
@@ -41,11 +42,6 @@ def matrix_pairs(m) -> list:
     return [[complex_pair(v) for v in row] for row in m]
 
 
-class _Float17(float):
-    def __repr__(self):
-        return fmt_float(self)
-
-
 def _canonical(obj):
     if isinstance(obj, dict):
         return {k: _canonical(v) for k, v in obj.items()}
@@ -54,11 +50,11 @@ def _canonical(obj):
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, (float, np.floating)):
-        return _Float17(obj)
+        return float(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, complex):
-        return [_Float17(obj.real), _Float17(obj.imag)]
+        return [obj.real, obj.imag]
     if isinstance(obj, np.ndarray):
         return _canonical(obj.tolist())
     return obj

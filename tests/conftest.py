@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nlmedium.medium import MediumParams, NuConstant, NuTabulated, NuZero, gamma_response
+from nlmedium.medium import MediumParams, NuConstant, NuTabulated, NuZero, _static_nodes, gamma_response
 from nlmedium.nonlinear import lambda0_tensor
 
 
@@ -54,6 +54,85 @@ def naive_displacement_line(comb, medium, lam, omega_out):
             math.fsum(p[g].real for p in parts), math.fsum(p[g].imag for p in parts)
         )
     return out
+
+
+def pv_integral_per_point(nu, upper, w):
+    """Reference reservoir-kernel quadrature: one sorted node list per pole.
+
+    The per-frequency form of the production kernel: static nodes plus a
+    48-node geometric cluster around ``w``, merged by a stable sort, nodes
+    within 1e-13 of the pole dropped, pole subtracted and added back in
+    closed form.
+    """
+    base_x, _, base_q, _ = _static_nodes(nu, upper)
+    floor = 1e-9 * upper
+    span = 0.5 * min(w, upper - w)
+    extra = np.asarray([])
+    if span > floor:
+        offs = np.geomspace(floor, span, 24)
+        extra = np.concatenate([w - offs, w + offs])
+    extra = extra[(extra > 0.0) & (extra < upper)]
+    x = np.concatenate([base_x, extra])
+    q = np.concatenate([base_q, np.asarray(nu.q(extra), dtype=float)])
+    order = np.argsort(x, kind="stable")
+    x = x[order]
+    q = q[order]
+    keep = np.abs(x - w) > 1e-13 * max(upper, 1.0)
+    x = x[keep]
+    q = q[keep]
+    qw = float(nu.q(np.asarray([w]))[0])
+    integrand = (q - qw) / (x * x - w * w)
+    pv = float(np.trapezoid(integrand, x))
+    if qw != 0.0:
+        pv += qw * math.log((upper - w) / (upper + w)) / (2.0 * w)
+    return pv
+
+
+def sigma_per_point(medium, w):
+    """Reservoir kernel at 0 < w < loop_cutoff from ``pv_integral_per_point``."""
+    pv = pv_integral_per_point(medium.nu, medium.loop_cutoff, w)
+    q_at = float(medium.nu.q(np.asarray([w]))[0])
+    return (w * w / medium.rho) * complex(pv, math.pi * q_at / (2.0 * w))
+
+
+def kk_reconstruct_loop(freq_grid, im_part):
+    """Reference Kramers-Kronig sum, one grid point per loop iteration.
+
+    Same discretisation as ``kk_reconstruct`` (trapezoids with the two
+    intervals next to the singular node left out, a local expansion over
+    them, and the w = 0 special case), written point by point.  Input
+    validation and the resolution guard are left to the caller.
+    """
+    grid = np.asarray(freq_grid, dtype=float)
+    im = np.asarray(im_part, dtype=float)
+    n = grid.size
+    f = grid * im
+    re = np.empty(n)
+    for i in range(n):
+        w = grid[i]
+        if i == 0 and w == 0.0:
+            vals = np.empty(n)
+            vals[1:] = im[1:] / grid[1:]
+            vals[0] = im[1] / grid[1]
+            re[i] = (2.0 / math.pi) * np.trapezoid(vals, grid)
+            continue
+        lo = max(i - 1, 0)
+        hi = min(i + 1, n - 1)
+        total = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            integrand = f / (grid * grid - w * w)
+        if lo > 0:
+            total += np.trapezoid(integrand[: lo + 1], grid[: lo + 1])
+        if hi < n - 1:
+            total += np.trapezoid(integrand[hi:], grid[hi:])
+        gvals = f / (grid + w)
+        if 0 < i < n - 1:
+            a = w - grid[i - 1]
+            b = grid[i + 1] - w
+            gp = (gvals[i + 1] - gvals[i - 1]) / (a + b)
+            total += gvals[i] * math.log(b / a) + gp * (a + b)
+        re[i] = (2.0 / math.pi) * total
+    return re
 
 
 @pytest.fixture

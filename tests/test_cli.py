@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nlmedium.cli import EXIT_BAD_JSON, EXIT_NUMERICS, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from nlmedium.serialize import comb_from_obj, comb_to_obj, dumps_canonical
+from nlmedium.serialize import comb_from_obj, comb_to_obj, dumps_canonical, fmt_float
 
 
 @pytest.fixture
@@ -163,6 +163,69 @@ class TestCommands:
         assert 2.99 <= rep["exponent"] <= 3.01
 
 
+    def test_dyson_without_loop_cutoff(self, tmp_path):
+        # the default loop window must stay inside the kernel support
+        cfg = {
+            "medium": {
+                "omega0": 1.0,
+                "chi_s": 1.0,
+                "alpha": 0.5,
+                "rho": 0.05,
+                "nu": {"type": "constant", "nu0": 0.1, "omega_cut": 6.0},
+                "loop_cutoff": 30.0,
+            },
+            "lambda": {"isotropic": [0.05, 0.08, 0.05]},
+            "grids": {"omega": [0.7]},
+            "outputs": {"dir": str(tmp_path), "format": "json"},
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "dyson"]) == EXIT_OK
+        sample = read_json(tmp_path / "dyson.json")["samples"][0]
+        assert math.isfinite(sample["error_estimate"])
+        cfg["loop"] = {"cutoff": 30.0}
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "dyson"]) == EXIT_VALIDATION
+
+
+def kk_check_report(tmp_path, peak, width):
+    """kk-check of the criterion-2 medium with a Gaussian coupling of this shape."""
+    grid_nu = np.linspace(0.0, 16.0, 400)
+    cfg = {
+        "medium": {
+            "omega0": 1.0,
+            "chi_s": 1.0,
+            "alpha": 0.5,
+            "rho": 0.05,
+            "loop_cutoff": 25.0,
+            "nu": {
+                "type": "tabulated",
+                "grid": grid_nu.tolist(),
+                "values": (peak * np.exp(-((grid_nu / width) ** 2))).tolist(),
+            },
+        },
+        "grids": {"omega": {"start": 0.0, "stop": 20.0, "n": 4096}},
+        "outputs": {"dir": str(tmp_path), "format": "json"},
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "kk-check"]) == EXIT_OK
+    return read_json(tmp_path / "kk_check.json")
+
+
+class TestKramersKronigCheck:
+    @pytest.mark.parametrize("peak, width", [(0.12, 5.0), (0.15, 3.0)])
+    def test_passes_where_re_chi1_crosses_zero(self, tmp_path, peak, width):
+        report = kk_check_report(tmp_path, peak, width)
+        assert report["pass"] is True
+        assert report["max_rel_error_interior"] < 1e-3
+
+    def test_fails_on_a_wrong_reconstruction(self, tmp_path):
+        report = kk_check_report(tmp_path, 0.2, 4.0)
+        assert report["pass"] is False
+        assert report["max_rel_error_interior"] > 1.0
+
+
 class TestExitCodes:
     def test_unknown_command(self, config_path):
         assert main(["--config", config_path, "no-such-command"]) == EXIT_USAGE
@@ -217,6 +280,13 @@ class TestDeterminism:
         # canonical writer round-trips floats exactly
         value = data["samples"][1]["chi1"][0][0][0]
         assert json.loads(dumps_canonical({"v": value}))["v"] == value
+
+    def test_canonical_json_number_format(self):
+        # JSON carries the shortest round-trip repr; CSV cells carry %.17g
+        obj = {"a": 0.1, "b": np.float64(0.1), "c": 1.0 / 3.0, "n": 3, "z": complex(0.1, -2.5)}
+        assert dumps_canonical(obj) == '{"a":0.1,"b":0.1,"c":0.3333333333333333,"n":3,"z":[0.1,-2.5]}\n'
+        assert dumps_canonical([1e-17, 2.0, -0.0]) == "[1e-17,2.0,-0.0]\n"
+        assert fmt_float(0.1) == "0.10000000000000001"
 
     def test_comb_serialization_round_trip(self):
         from nlmedium.displacement import FrequencyComb

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sigma_per_point
 from nlmedium.errors import (
     GridResolutionError,
     InputError,
@@ -15,6 +16,7 @@ from nlmedium.medium import (
     NuConstant,
     NuTabulated,
     Rank2Response,
+    _sigma_values,
     chi1,
     chi1_scalar,
     chi1_spectrum,
@@ -105,6 +107,35 @@ class TestReservoirKernel:
         m = reservoir_kernel(lossy, 0.9)
         assert np.all(m == m[0, 0] * np.eye(3))
 
+    @pytest.mark.parametrize("peak, width", [(0.1, 4.0), (0.105, 3.8), (0.095, 4.2)])
+    def test_batched_kernel_matches_per_point_quadrature(self, peak, width):
+        # criterion-2 medium and its spectra-benchmark variants; the 4096-point
+        # grid meets tabulated breakpoints exactly, where a node is dropped
+        grid_nu = np.linspace(0.0, 16.0, 400)
+        p = MediumParams(
+            omega0=1.0,
+            chi_s=1.0,
+            alpha=0.5,
+            rho=0.05,
+            nu=NuTabulated(grid_nu, peak * np.exp(-((grid_nu / width) ** 2))),
+            loop_cutoff=25.0,
+        )
+        grid = np.linspace(0.0, 20.0, 4096)[1:]
+        assert np.any(np.isin(grid, grid_nu))
+        ref = np.asarray([sigma_per_point(p, w) for w in grid])
+        got = _sigma_values(p, grid)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
+
+    def test_batched_kernel_matches_per_point_constant_coupling(self, lossy):
+        grid = np.concatenate([np.linspace(0.01, 29.9, 1500), lossy.nu.breakpoints(), [30.0 * 7 / 1499]])
+        ref = np.asarray([sigma_per_point(lossy, w) for w in grid])
+        got = _sigma_values(lossy, grid)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
+
+    def test_support_error_on_any_grid_point(self, lossy):
+        with pytest.raises(KernelSupportError, match="frequency outside kernel support"):
+            chi1_spectrum(lossy, np.asarray([0.5, 1.0, -30.0]))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_quadrature_raises(self):
         grid = np.array([0.0, 1.0, 2.0])
@@ -164,6 +195,20 @@ class TestChi1:
     def test_spectrum_isotropy(self, lossy):
         spec = chi1_spectrum(lossy, np.linspace(0.1, 3.0, 7))
         assert spec.max_anisotropy() < 1e-12
+
+    def test_spectrum_matches_pointwise_chi1(self, smooth_lossy):
+        grid = np.linspace(-5.0, 20.0, 301)
+        spec = chi1_spectrum(smooth_lossy, grid)
+        point = np.asarray([chi1(smooth_lossy, w) for w in grid])
+        assert np.max(np.abs(spec.values - point)) <= 1e-14 * np.max(np.abs(point))
+        assert spec.values[60, 0, 0] == smooth_lossy.chi_s  # omega = 0 exactly
+
+    def test_static_limit_is_exact(self):
+        # chi_s * w0^2 / w0^2 rounds away from chi_s for these values
+        p = MediumParams(omega0=1.04, chi_s=0.95, alpha=0.5, rho=0.2, nu=NuConstant(0.1, 10.0), loop_cutoff=30.0)
+        assert p.eps0 * p.omega0**2 * p.chi_s / p.omega0**2 != p.chi_s
+        assert chi1_scalar(p, 0.0) == p.chi_s
+        assert chi1_spectrum(p, [0.0, 0.5]).values[0, 0, 0] == p.chi_s
 
 
 class TestKramersKronig:

@@ -1,0 +1,136 @@
+"""Property tests of the vectorised linear-response core over random media.
+
+Media are drawn with flat (``NuConstant``) and tabulated couplings.  Grids
+mix random frequencies of both signs with 0 and with nodes the kernel
+quadrature itself uses (its uniform base nodes and the coupling's
+breakpoints), where the pole sits exactly on a quadrature node.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
+
+from conftest import kk_reconstruct_loop
+from nlmedium.errors import GridResolutionError, ResponsePoleError
+from nlmedium.medium import (
+    MediumParams,
+    NuConstant,
+    NuTabulated,
+    _sigma_scalar,
+    _sigma_values,
+    _static_nodes,
+    chi1_spectrum,
+    kk_reconstruct,
+)
+
+SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+positive = st.floats(min_value=0.05, max_value=2.0)
+
+
+@st.composite
+def media(draw):
+    omega0 = draw(st.floats(min_value=0.5, max_value=2.0))
+    if draw(st.booleans()):
+        nu = NuConstant(draw(st.floats(min_value=0.0, max_value=0.3)), draw(st.floats(min_value=0.2, max_value=20.0)))
+    else:
+        steps = draw(st.lists(st.floats(min_value=0.05, max_value=3.0), min_size=1, max_size=30))
+        grid = draw(st.floats(min_value=0.0, max_value=2.0, allow_subnormal=False)) + np.cumsum([0.0] + steps)
+        values = draw(
+            st.lists(st.floats(min_value=0.0, max_value=0.3), min_size=grid.size, max_size=grid.size)
+        )
+        nu = NuTabulated(grid, np.asarray(values))
+    return MediumParams(
+        omega0=omega0,
+        chi_s=draw(positive),
+        alpha=0.5,
+        rho=draw(positive),
+        nu=nu,
+        loop_cutoff=omega0 * draw(st.floats(min_value=1.5, max_value=30.0)),
+    )
+
+
+@st.composite
+def media_and_grids(draw):
+    medium = draw(media())
+    cut = medium.loop_cutoff
+    magnitudes = draw(st.lists(st.floats(min_value=1e-6, max_value=cut, exclude_max=True), min_size=1, max_size=24))
+    free = np.asarray(magnitudes) * draw(
+        st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(magnitudes), max_size=len(magnitudes))
+    )
+    nodes = _static_nodes(medium.nu, cut)[0]
+    nodes = nodes[(nodes > 0.0) & (nodes < cut)]
+    picks = draw(st.lists(st.integers(0, nodes.size - 1), max_size=6))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(picks), max_size=len(picks)))
+    breaks = np.atleast_1d(medium.nu.breakpoints())
+    breaks = breaks[(breaks > 0.0) & (breaks < cut)]
+    grid = np.concatenate([[0.0], free, np.asarray(signs) * nodes[picks], breaks[:4]])
+    return medium, grid
+
+
+@SETTINGS
+@given(media_and_grids())
+def test_batched_sigma_equals_one_row_path(case):
+    medium, grid = case
+    batched = _sigma_values(medium, grid)
+    one_row = np.asarray([_sigma_scalar(medium, float(w)) for w in grid])
+    assert np.all(np.abs(batched - one_row) <= 1e-14 * np.abs(one_row))
+    assert np.all(batched[grid == 0.0] == 0.0)
+
+
+@SETTINGS
+@given(media_and_grids())
+def test_sigma_hermitian_analyticity_is_bitwise(case):
+    medium, grid = case
+    plus = _sigma_values(medium, grid)
+    assert np.array_equal(_sigma_values(medium, -grid), np.conj(plus))
+    for w in grid[:6]:
+        assert _sigma_scalar(medium, -float(w)) == np.conj(_sigma_scalar(medium, float(w)))
+
+
+@SETTINGS
+@given(media_and_grids())
+def test_passivity(case):
+    medium, grid = case
+    w = np.unique(np.abs(grid))
+    assert np.all(_sigma_values(medium, w).imag >= 0.0)
+    try:
+        chi = chi1_spectrum(medium, w).values[:, 0, 0]
+    except ResponsePoleError:
+        reject()
+    assert np.all(chi.imag >= -1e-12)
+    assert chi[0] == medium.chi_s
+
+
+@st.composite
+def kk_inputs(draw):
+    n = draw(st.integers(8, 300))
+    start = draw(st.sampled_from([0.0, 0.01, 0.3]))
+    steps = np.asarray(draw(st.lists(st.floats(0.01, 0.2), min_size=n - 1, max_size=n - 1)))
+    grid = start + np.concatenate([[0.0], np.cumsum(steps)])
+    w0 = draw(st.floats(0.2, 1.0)) * grid[-1]
+    gam = draw(st.floats(0.2, 2.0))
+    amp = draw(st.floats(0.1, 10.0))
+    im = amp * gam * grid / ((w0**2 - grid**2) ** 2 + gam**2 * grid**2)
+    return grid, im
+
+
+@SETTINGS
+@given(kk_inputs())
+def test_kk_matrix_form_matches_loop(case):
+    grid, im = case
+    try:
+        got = kk_reconstruct(grid, im)
+    except GridResolutionError:
+        reject()
+    ref = kk_reconstruct_loop(grid, im)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [4096, 4100])
+def test_kk_matrix_form_matches_loop_across_chunks(smooth_lossy, n):
+    grid = np.linspace(0.0, 20.0, n)
+    im = chi1_spectrum(smooth_lossy, grid).values[:, 0, 0].imag
+    ref = kk_reconstruct_loop(grid, im)
+    assert np.max(np.abs(kk_reconstruct(grid, im) - ref)) <= 1e-12 * np.max(np.abs(ref))
