@@ -23,11 +23,13 @@ from .errors import InputError, NlmediumError, NumericsError
 from .fieldspace import (
     LoopQuadrature,
     PlaneWaveContext,
+    _loop_integrals,
+    _loop_vertex,
+    _self_energy_from,
     dyson_dress,
-    self_energy,
     tree_propagators,
 )
-from .medium import MediumParams, NuZero, chi1_spectrum, kk_reconstruct
+from .medium import MediumParams, NuZero, _reject_unknown_keys, chi1_spectrum, kk_reconstruct
 from .nonlinear import chi3, lambda_from_config
 from .serialize import (
     comb_from_obj,
@@ -68,6 +70,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# keys the config sections may hold; "medium" is checked by MediumParams
+_SECTION_KEYS = {
+    "grids": ("omega", "k", "quadruples"),
+    "loop": ("n_points", "cutoff"),
+    "drive": ("freq", "ladder"),
+    "outputs": ("dir", "format"),
+}
+
+
 @dataclass
 class RunConfig:
     """Everything a pipeline run needs, decoded from the JSON config."""
@@ -90,6 +101,8 @@ class RunConfig:
         cfg = load_json_file(path)
         if "medium" not in cfg:
             raise InputError("config needs a 'medium' section")
+        for section, known in _SECTION_KEYS.items():
+            _reject_unknown_keys(section, cfg.get(section, {}), known)
         medium = MediumParams.from_config(cfg["medium"])
         lam = lambda_from_config(cfg["lambda"]) if "lambda" in cfg else None
         grids = cfg.get("grids", {})
@@ -275,13 +288,20 @@ def _cmd_dyson(config: RunConfig, args) -> list:
     quad = LoopQuadrature(n_points=config.loop_n_points, cutoff=cutoff)
     pol = np.array([1.0, 0.0, 0.0])
     samples = []
+    # the self-energy does not depend on k, and the loop integrals not on w
+    integrals = None
+    pis = {}
     for k in config.k_values:
         for w in config.omega_grid:
             if w == 0.0:
                 continue
             ctx = PlaneWaveContext(k=float(k), polarization=pol, omega=float(w))
             g0 = tree_propagators(config.medium, ctx)
-            pi = self_energy(config.medium, lam, float(w), quad)
+            if w not in pis:
+                trace = _loop_vertex(config.medium, lam, float(w))
+                integrals = integrals or _loop_integrals(config.medium, quad)
+                pis[w] = _self_energy_from(trace, integrals)
+            pi = pis[w]
             dressed = dyson_dress(g0, pi.value)
             chosen = dressed.single if mode == "single" else dressed.resummed
             samples.append(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DysonPoleError, InputError, LoopConvergenceError, PropagatorPoleError
-from .medium import MediumParams, gamma_response
+from .medium import MediumParams, _gamma_values, gamma_response
 from .nonlinear import lambda0_tensor
 
 __all__ = [
@@ -237,25 +237,62 @@ class SelfEnergyResult:
     tail_error: float
 
 
-def _internal_xx(medium: MediumParams, omega: float) -> np.ndarray:
-    """Time-ordered tree matter block at k = 0, in pole-safe form.
+def _loop_integrals(medium: MediumParams, quadrature: LoopQuadrature) -> tuple:
+    """Scalar loop integrals J = integral dW/(2 pi) s(W) over the three windows.
 
-    The loop runs over the time-ordered propagator, which for the Hermitian
-    response used here equals the physical branch evaluated at |w| (even in
-    the loop frequency); the retarded branch would integrate to zero over a
-    symmetric window by upper-half analyticity.  At k = 0,
-    ``w**2 D(w, 0) = (eps0 I - g alpha**2 Gamma(w))^-1`` exactly, so
-    ``G0_XX = Gamma + alpha**2 Gamma M^-1 Gamma`` stays finite at w = 0.
+    The internal line is the time-ordered tree matter block at k = 0, an
+    isotropic ``s(W) I``.  For the Hermitian response used here it equals
+    the physical branch at |W| (even in W); the retarded branch would
+    integrate to zero over a symmetric window by upper-half analyticity.
+    At k = 0, ``W**2 D(W, 0) = (eps0 - g alpha**2 Gamma(W))^-1`` exactly, so
+
+        s(W) = g (Gamma + alpha**2 Gamma**2 / (eps0 - g alpha**2 Gamma))
+
+    stays finite at W = 0.  The windows are [-cutoff, cutoff] at n nodes
+    and at n // 2 nodes, and [-cutoff/2, cutoff/2] at n // 2 + 1 nodes
+    (the full window's spacing); one response evaluation covers the
+    distinct |W| of all three.  Returns (J_full, J_half, J_cut).
     """
-    gam = gamma_response(medium, abs(omega))
-    m = medium.eps0 * np.eye(3, dtype=complex) - medium.g * medium.alpha**2 * gam
-    return medium.g * (gam + medium.alpha**2 * (gam @ np.linalg.solve(m, gam)))
+    cut = quadrature.cutoff
+    n = quadrature.n_points
+    windows = (
+        np.linspace(-cut, cut, n),
+        np.linspace(-cut, cut, n // 2),
+        np.linspace(-cut / 2.0, cut / 2.0, n // 2 + 1),
+    )
+    absw, inverse = np.unique(np.abs(np.concatenate(windows)), return_inverse=True)
+    gam = _gamma_values(medium, absw)
+    m = medium.eps0 - medium.g * medium.alpha**2 * gam
+    if np.any(m == 0.0):
+        # W**2 D(W, 0) has a pole on a node: the matter block is singular
+        raise np.linalg.LinAlgError("Singular matrix")
+    s = (medium.g * (gam + medium.alpha**2 * (gam * (gam / m))))[inverse]
+    parts = np.split(s, np.cumsum([nodes.size for nodes in windows[:-1]]))
+    return tuple(np.trapezoid(part, nodes) / (2.0 * np.pi) for part, nodes in zip(parts, windows))
 
 
-def _loop_trapezoid(medium, vert, cutoff, n_points):
-    nodes = np.linspace(-cutoff, cutoff, n_points)
-    samples = np.asarray([np.einsum("abmg,bm->ag", vert, _internal_xx(medium, float(om))) for om in nodes])
-    return np.trapezoid(samples, nodes, axis=0) / (2.0 * np.pi)
+def _loop_vertex(medium: MediumParams, lam: np.ndarray, omega: float) -> np.ndarray:
+    """Partial trace V_abbg of the four-point vertex at the external frequency."""
+    pol = np.array([1.0, 0.0, 0.0])
+    ctx_ext = PlaneWaveContext(k=0.0, polarization=pol, omega=float(omega))
+    lam0 = lambda0_tensor(lam, medium, omega, omega, omega, omega)
+    d_ext = photon_green(medium, ctx_ext)
+    return np.einsum("abbg->ag", vertex(lam0, medium.alpha, omega, d_ext))
+
+
+def _self_energy_from(trace: np.ndarray, integrals: tuple) -> SelfEnergyResult:
+    """Self-energy and its error estimates from a vertex trace and the loop integrals."""
+    j_full, j_half, j_cut = integrals
+    full = trace * j_full
+    # composite trapezoid is O(h^2): Richardson factor 1/3
+    disc = float(np.max(np.abs(full - trace * j_half))) / 3.0
+    tail = float(np.max(np.abs(full - trace * j_cut)))
+    scale = float(np.max(np.abs(full)))
+    if scale > 0.0 and disc > 0.1 * scale:
+        raise LoopConvergenceError("loop integral not converged at this cutoff")
+    return SelfEnergyResult(
+        value=full, error_estimate=disc + tail, discretization_error=disc, tail_error=tail
+    )
 
 
 def self_energy(
@@ -269,7 +306,15 @@ def self_energy(
         Pi_ag(w) = integral dW/(2 pi) V_abmg(w) G0_XX;bm(W)
 
     over [-cutoff, cutoff].  The external frequency enters only through
-    the vertex; the internal line is the tree matter propagator at k = 0.
+    the vertex V; the internal line is the tree matter propagator at
+    k = 0, which is ``s(W) I`` for this isotropic medium.  The loop
+    therefore factors into the partial trace ``V_abbg`` times one scalar
+    window integral J (see ``_loop_integrals``), and the whole loop is
+    three such integrals: the full window, the same window at half the
+    nodes, and the half window at the same node spacing.  Each call
+    evaluates them afresh; the ``dyson`` command evaluates them once per
+    run and the self-energy once per frequency.
+
     The reported error estimate combines a trapezoid Richardson term
     (node count halved) with a cutoff-sensitivity term (window halved at
     fixed node spacing).  The integral is declared not converged when the
@@ -277,26 +322,8 @@ def self_energy(
     window term is reported but does not gate, so deliberately narrow
     diagnostic windows (e.g. below an undamped resonance) stay usable.
     """
-    pol = np.array([1.0, 0.0, 0.0])
-    ctx_ext = PlaneWaveContext(k=0.0, polarization=pol, omega=float(omega))
-    lam0 = lambda0_tensor(lam, medium, omega, omega, omega, omega)
-    d_ext = photon_green(medium, ctx_ext)
-    vert = vertex(lam0, medium.alpha, omega, d_ext)
-
-    n = quadrature.n_points
-    cut = quadrature.cutoff
-    full = _loop_trapezoid(medium, vert, cut, n)
-    half_nodes = _loop_trapezoid(medium, vert, cut, n // 2)
-    # composite trapezoid is O(h^2): Richardson factor 1/3
-    disc = float(np.max(np.abs(full - half_nodes))) / 3.0
-    half_cut = _loop_trapezoid(medium, vert, cut / 2.0, n // 2 + 1)
-    tail = float(np.max(np.abs(full - half_cut)))
-    scale = float(np.max(np.abs(full)))
-    if scale > 0.0 and disc > 0.1 * scale:
-        raise LoopConvergenceError("loop integral not converged at this cutoff")
-    return SelfEnergyResult(
-        value=full, error_estimate=disc + tail, discretization_error=disc, tail_error=tail
-    )
+    trace = _loop_vertex(medium, lam, omega)
+    return _self_energy_from(trace, _loop_integrals(medium, quadrature))
 
 
 @dataclass(frozen=True)

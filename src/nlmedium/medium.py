@@ -168,6 +168,13 @@ def nu_from_config(cfg) -> NuZero | NuConstant | NuTabulated:
     raise InputError(f"unknown coupling type {kind!r}")
 
 
+def _reject_unknown_keys(section: str, cfg: dict, known) -> None:
+    """Raise ``InputError`` naming the first key of ``cfg`` not in ``known``."""
+    unknown = sorted(set(cfg) - set(known))
+    if unknown:
+        raise InputError(f"unknown key {unknown[0]!r} in config section {section!r}")
+
+
 @dataclass(frozen=True)
 class MediumParams:
     """All constants of the oscillator + reservoir model.
@@ -209,6 +216,7 @@ class MediumParams:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "MediumParams":
+        _reject_unknown_keys("medium", cfg, cls.__dataclass_fields__)
         return cls(
             omega0=float(cfg["omega0"]),
             chi_s=float(cfg["chi_s"]),
@@ -269,6 +277,7 @@ class Rank2Response:
 # take more time than the arithmetic.
 _CHUNK_ELEMENTS = 1 << 15
 _CLUSTER_STEPS = np.arange(24.0)
+_TINY = np.finfo(float).tiny
 
 
 def _cluster(center, span, floor):
@@ -402,9 +411,16 @@ def _kernel(params: MediumParams, w: np.ndarray) -> np.ndarray:
     if isinstance(params.nu, NuZero) or w.size == 0:
         return out
     qw = np.asarray(params.nu.q(w), dtype=float)
-    scale = w * w / params.rho
+    w2 = w * w
+    scale = w2 / params.rho
     out.real = scale * _pv_rows(params.nu, params.loop_cutoff, w, qw)
-    out.imag = scale * (math.pi * qw / (2.0 * w))
+    tiny = w2 < _TINY
+    if not tiny.any():
+        out.imag = scale * (math.pi * qw / (2.0 * w))
+        return out
+    # where w*w underflows, pi*q/(2w) may overflow: cancel the w first
+    with np.errstate(over="ignore", invalid="ignore"):
+        out.imag = np.where(tiny, (w / params.rho) * (math.pi * qw / 2.0), scale * (math.pi * qw / (2.0 * w)))
     return out
 
 

@@ -126,6 +126,23 @@ def _normalize_pattern(pattern):
     return tuple(out)
 
 
+def _partial_matchings(plains, stars):
+    """All partial matchings between plain and star slots, as pair lists.
+
+    The first plain slot is left unpaired first, then paired with each
+    star in turn; the remaining slots recurse in the same order.
+    """
+    if not plains or not stars:
+        yield []
+        return
+    head, rest = plains[0], plains[1:]
+    for m in _partial_matchings(rest, stars):
+        yield m
+    for k, s in enumerate(stars):
+        for m in _partial_matchings(rest, stars[:k] + stars[k + 1 :]):
+            yield [(head, s)] + m
+
+
 def derivative_terms(order: int, pattern) -> list:
     """Full contraction catalog for a derivative of the given pattern.
 
@@ -143,22 +160,8 @@ def derivative_terms(order: int, pattern) -> list:
     plain_slots = [i for i, p in enumerate(pat) if p == PLAIN]
     star_slots = [i for i, p in enumerate(pat) if p == "star"]
 
-    def matchings(plains, stars):
-        # all partial matchings between the two slot sets
-        if not plains or not stars:
-            yield []
-            return
-        head, rest = plains[0], plains[1:]
-        # head stays unpaired
-        for m in matchings(rest, stars):
-            yield m
-        # head pairs with any star
-        for k, s in enumerate(stars):
-            for m in matchings(rest, stars[:k] + stars[k + 1 :]):
-                yield [(head, s)] + m
-
     terms = []
-    for match in matchings(plain_slots, star_slots):
+    for match in _partial_matchings(plain_slots, star_slots):
         paired = {s for pair in match for s in pair}
         insertions = [
             Leg(slot=i, kind=CIRCLE if pat[i] == PLAIN else STAR, index=f"i{i}")
@@ -335,24 +338,6 @@ class PolynomialTerms:
         return sum(t.coefficient * t.value for b in range(5) for t in self.bucket(b))
 
 
-def _leg_matchings(kinds):
-    plains = [i for i, k in enumerate(kinds) if k == "plain"]
-    stars = [i for i, k in enumerate(kinds) if k == "star"]
-
-    def rec(ps, ss):
-        if not ps or not ss:
-            yield []
-            return
-        head, rest = ps[0], ps[1:]
-        for m in rec(rest, ss):
-            yield m
-        for k, s in enumerate(ss):
-            for m in rec(rest, ss[:k] + ss[k + 1 :]):
-                yield [(head, s)] + m
-
-    return rec(plains, stars)
-
-
 def _contract_class(tensor, kinds, match, quad, m_ins, mp_ins, d_mats, tol):
     """Value of one assembled term: pairings then insertions."""
     work = np.asarray(tensor, dtype=complex)
@@ -411,7 +396,9 @@ def assemble_polynomial(tensors, mean_fields, photon_green, tol: float = 0.0) ->
                 PTerm(label=label, coefficient=coeff, insertions=(), pairings=(), conjugated=False, value=p0_value)
             )
             continue
-        for match in _leg_matchings(kinds):
+        plains = [i for i, k in enumerate(kinds) if k == "plain"]
+        stars = [i for i, k in enumerate(kinds) if k == "star"]
+        for match in _partial_matchings(plains, stars):
             value, _ = _contract_class(tensor, kinds, match, quad, m_ins, mp_ins, d_mats, tol)
             paired = {s for pair in match for s in pair}
             insertions = tuple((kinds[i], i) for i in range(len(kinds)) if i not in paired)

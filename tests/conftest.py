@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from nlmedium.errors import LoopConvergenceError
+from nlmedium.fieldspace import PlaneWaveContext, SelfEnergyResult, photon_green, vertex
 from nlmedium.medium import MediumParams, NuConstant, NuTabulated, NuZero, _static_nodes, gamma_response
 from nlmedium.nonlinear import lambda0_tensor
 
@@ -133,6 +135,42 @@ def kk_reconstruct_loop(freq_grid, im_part):
             total += gvals[i] * math.log(b / a) + gp * (a + b)
         re[i] = (2.0 / math.pi) * total
     return re
+
+
+def _internal_xx(medium, omega):
+    """Time-ordered tree matter block at k = 0 as a 3x3 matrix, one node."""
+    gam = gamma_response(medium, abs(omega))
+    m = medium.eps0 * np.eye(3, dtype=complex) - medium.g * medium.alpha**2 * gam
+    return medium.g * (gam + medium.alpha**2 * (gam @ np.linalg.solve(m, gam)))
+
+
+def _loop_trapezoid(medium, vert, cutoff, n_points):
+    nodes = np.linspace(-cutoff, cutoff, n_points)
+    samples = np.asarray([np.einsum("abmg,bm->ag", vert, _internal_xx(medium, float(om))) for om in nodes])
+    return np.trapezoid(samples, nodes, axis=0) / (2.0 * np.pi)
+
+
+def self_energy_per_node(medium, lam, omega, quadrature):
+    """Reference one-loop self-energy: full rank-4 contraction at every node.
+
+    The unfactored form of ``self_energy``: each loop node builds the 3x3
+    matter block with a linear solve and contracts the whole vertex with
+    it; the three windows are separate trapezoid passes.  Error estimates
+    and the convergence gate are those of the production path.
+    """
+    pol = np.array([1.0, 0.0, 0.0])
+    ctx_ext = PlaneWaveContext(k=0.0, polarization=pol, omega=float(omega))
+    lam0 = lambda0_tensor(lam, medium, omega, omega, omega, omega)
+    vert = vertex(lam0, medium.alpha, omega, photon_green(medium, ctx_ext))
+    n = quadrature.n_points
+    cut = quadrature.cutoff
+    full = _loop_trapezoid(medium, vert, cut, n)
+    disc = float(np.max(np.abs(full - _loop_trapezoid(medium, vert, cut, n // 2)))) / 3.0
+    tail = float(np.max(np.abs(full - _loop_trapezoid(medium, vert, cut / 2.0, n // 2 + 1))))
+    scale = float(np.max(np.abs(full)))
+    if scale > 0.0 and disc > 0.1 * scale:
+        raise LoopConvergenceError("loop integral not converged at this cutoff")
+    return SelfEnergyResult(value=full, error_estimate=disc + tail, discretization_error=disc, tail_error=tail)
 
 
 @pytest.fixture

@@ -187,6 +187,31 @@ class TestCommands:
         path.write_text(json.dumps(cfg))
         assert main(["--config", str(path), "dyson"]) == EXIT_VALIDATION
 
+    def test_dyson_self_energy_is_the_same_for_every_k(self, tmp_path):
+        cfg = {
+            "medium": {
+                "omega0": 1.0,
+                "chi_s": 1.0,
+                "alpha": 0.5,
+                "rho": 0.2,
+                "nu": {"type": "constant", "nu0": 0.1, "omega_cut": 10.0},
+                "loop_cutoff": 30.0,
+            },
+            "lambda": {"isotropic": [0.25, 0.4, 0.35]},
+            "grids": {"omega": [0.0, 0.3, 0.9, 1.4], "k": [0.0, 1.3]},
+            "loop": {"n_points": 1024, "cutoff": 12.0},
+            "outputs": {"dir": str(tmp_path), "format": "json"},
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "dyson"]) == EXIT_OK
+        samples = read_json(tmp_path / "dyson.json")["samples"]
+        assert [(s["k"], s["omega"]) for s in samples] == [(k, w) for k in (0.0, 1.3) for w in (0.3, 0.9, 1.4)]
+        for at_zero, at_k in zip(samples[:3], samples[3:]):
+            assert at_zero["self_energy"] == at_k["self_energy"]
+            assert at_zero["error_estimate"] == at_k["error_estimate"]
+            assert at_zero["AA"] != at_k["AA"]
+
 
 def kk_check_report(tmp_path, peak, width):
     """kk-check of the criterion-2 medium with a Gaussian coupling of this shape."""
@@ -254,6 +279,27 @@ class TestExitCodes:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
         assert main(["--config", str(path), "chi1"]) == EXIT_NUMERICS
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("medium", "omgea0"), ("grids", "omgea"), ("loop", "n_point"), ("drive", "frq"), ("outputs", "fromat")],
+    )
+    def test_unknown_config_key(self, tmp_path, capsys, section, key):
+        cfg = {
+            "medium": {"omega0": 1.0, "chi_s": 1.0, "alpha": 0.5, "rho": 1.0, "loop_cutoff": 30.0, "ieps": 1e-12},
+            "lambda": {"isotropic": [0.05, 0.08, 0.05]},
+            "grids": {"omega": [0.5]},
+            "loop": {"n_points": 256},
+            "drive": {"freq": 0.24},
+            "outputs": {"dir": str(tmp_path), "format": "json"},
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "wick-dump", "--order", "1"]) == EXIT_OK
+        cfg[section][key] = 1.0
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "wick-dump", "--order", "1"]) == EXIT_VALIDATION
+        assert repr(key) in capsys.readouterr().err
 
     def test_env_thread_override_accepted(self, config_path, monkeypatch):
         monkeypatch.setenv("NLMEDIUM_THREADS", "4")

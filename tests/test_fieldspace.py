@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import self_energy_per_node
 from nlmedium.errors import DysonPoleError, InputError, LoopConvergenceError, PropagatorPoleError
 from nlmedium.fieldspace import (
     LoopQuadrature,
@@ -230,6 +231,59 @@ class TestSelfEnergy:
     def test_minimum_nodes(self):
         with pytest.raises(InputError):
             LoopQuadrature(32, 10.0)
+
+
+class TestFactoredLoop:
+    """The factored loop against the per-node rank-4 contraction."""
+
+    # the lossless window stays below the undamped resonance at W = omega0
+    @pytest.mark.parametrize(
+        "name, quad",
+        [
+            ("lossy", LoopQuadrature(1024, 12.0)),
+            ("lossless", LoopQuadrature(256, 0.5)),
+            ("vacuum", LoopQuadrature(256, 10.0)),
+            ("smooth_lossy", LoopQuadrature(1024, 12.0)),
+        ],
+    )
+    @pytest.mark.parametrize("omega", [0.3, 0.9, 1.4])
+    def test_matches_per_node_oracle(self, request, name, quad, omega):
+        medium = request.getfixturevalue(name)
+        lam = lambda_isotropic(0.25, 0.4, 0.35)
+        ref = self_energy_per_node(medium, lam, omega, quad)
+        got = self_energy(medium, lam, omega, quad)
+        # the error terms are differences of value-sized matrices, so their
+        # rounding is bounded by the value scale, not by their own size
+        scale = float(np.max(np.abs(ref.value)))
+        assert np.max(np.abs(got.value - ref.value)) <= 1e-13 * scale
+        assert abs(got.discretization_error - ref.discretization_error) <= 1e-13 * scale
+        assert abs(got.tail_error - ref.tail_error) <= 1e-13 * scale
+        assert got.error_estimate == got.discretization_error + got.tail_error
+        if name == "vacuum":
+            assert np.all(got.value == 0.0) and got.error_estimate == 0.0
+
+    @pytest.mark.parametrize("name", ["lossless", "lossy"])
+    def test_gate_fires_like_per_node_oracle(self, request, name):
+        # undamped resonance inside the window; too few nodes for the lossy kernel
+        quad = LoopQuadrature(1024, 12.0) if name == "lossless" else LoopQuadrature(64, 12.0)
+        medium = request.getfixturevalue(name)
+        lam = lambda_isotropic(0.25, 0.4, 0.35)
+        with pytest.raises(LoopConvergenceError):
+            self_energy_per_node(medium, lam, 0.9, quad)
+        with pytest.raises(LoopConvergenceError):
+            self_energy(medium, lam, 0.9, quad)
+
+    def test_singular_matter_block_raises(self):
+        # eps0 - g alpha**2 Gamma(W) is exactly 0 at the node W = 0.5:
+        # Gamma(0.5) = 3 / 0.75 = 4 and alpha**2 = 0.25
+        medium = MediumParams(omega0=1.0, chi_s=3.0, alpha=0.5, rho=1.0, nu=NuZero(), loop_cutoff=30.0)
+        quad = LoopQuadrature(97, 0.75)
+        assert np.linspace(-0.75, 0.75, 97)[80] == 0.5
+        lam = lambda_isotropic(0.25, 0.4, 0.35)
+        with pytest.raises(np.linalg.LinAlgError):
+            self_energy_per_node(medium, lam, 0.9, quad)
+        with pytest.raises(np.linalg.LinAlgError):
+            self_energy(medium, lam, 0.9, quad)
 
 
 class TestDyson:

@@ -93,6 +93,25 @@ class TestReservoirKernel:
             ref = pv_half_residue_oracle(smooth_lossy.nu, smooth_lossy.rho, smooth_lossy.loop_cutoff, w)
             assert got == pytest.approx(ref, rel=2e-4)
 
+    @pytest.mark.parametrize("w", [5e-324, 1e-200])
+    def test_underflowing_frequency_is_finite_and_passive(self, lossy, smooth_lossy, w):
+        # w*w underflows to 0 there, and pi*q/(2w) overflows at 5e-324
+        for medium in (lossy, smooth_lossy):
+            q = float(medium.nu.q(np.asarray([w]))[0])
+            sig = complex(_sigma_values(medium, np.asarray([w]))[0])
+            assert math.isfinite(sig.real) and math.isfinite(sig.imag)
+            assert sig.imag == (w / medium.rho) * (math.pi * q / 2.0)
+            assert sig.imag >= 0.0 and reservoir_kernel(medium, w)[0, 0] == sig
+            x = chi1_scalar(medium, w)
+            assert math.isfinite(x.real) and math.isfinite(x.imag) and x.imag >= 0.0
+        assert _sigma_values(lossy, np.asarray([1e-200]))[0].imag > 0.0
+
+    def test_underflow_branch_keeps_other_rows(self, lossy):
+        grid = np.asarray([0.3, 1.7, 4.2])
+        alone = _sigma_values(lossy, grid)
+        mixed = _sigma_values(lossy, np.concatenate([[5e-324, 1e-200], grid]))
+        assert np.array_equal(mixed[2:], alone)
+
     def test_hermitian_analyticity(self, lossy):
         for w in (0.3, 1.0, 4.2):
             plus = reservoir_kernel(lossy, w)[0, 0]

@@ -36,7 +36,7 @@ def media(draw):
         nu = NuConstant(draw(st.floats(min_value=0.0, max_value=0.3)), draw(st.floats(min_value=0.2, max_value=20.0)))
     else:
         steps = draw(st.lists(st.floats(min_value=0.05, max_value=3.0), min_size=1, max_size=30))
-        grid = draw(st.floats(min_value=0.0, max_value=2.0, allow_subnormal=False)) + np.cumsum([0.0] + steps)
+        grid = draw(st.floats(min_value=0.0, max_value=2.0)) + np.cumsum([0.0] + steps)
         values = draw(
             st.lists(st.floats(min_value=0.0, max_value=0.3), min_size=grid.size, max_size=grid.size)
         )
