@@ -23,9 +23,7 @@ from .errors import InputError, NlmediumError, NumericsError
 from .fieldspace import (
     LoopQuadrature,
     PlaneWaveContext,
-    _loop_integrals,
-    _loop_vertex,
-    _self_energy_from,
+    _self_energy_sweep,
     dyson_dress,
     tree_propagators,
 )
@@ -289,19 +287,14 @@ def _cmd_dyson(config: RunConfig, args) -> list:
     pol = np.array([1.0, 0.0, 0.0])
     samples = []
     # the self-energy does not depend on k, and the loop integrals not on w
-    integrals = None
-    pis = {}
+    pi_at = _self_energy_sweep(config.medium, lam, quad)
     for k in config.k_values:
         for w in config.omega_grid:
             if w == 0.0:
                 continue
             ctx = PlaneWaveContext(k=float(k), polarization=pol, omega=float(w))
             g0 = tree_propagators(config.medium, ctx)
-            if w not in pis:
-                trace = _loop_vertex(config.medium, lam, float(w))
-                integrals = integrals or _loop_integrals(config.medium, quad)
-                pis[w] = _self_energy_from(trace, integrals)
-            pi = pis[w]
+            pi = pi_at(float(w))
             dressed = dyson_dress(g0, pi.value)
             chosen = dressed.single if mode == "single" else dressed.resummed
             samples.append(

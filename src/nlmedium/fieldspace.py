@@ -295,6 +295,27 @@ def _self_energy_from(trace: np.ndarray, integrals: tuple) -> SelfEnergyResult:
     )
 
 
+def _self_energy_sweep(medium: MediumParams, lam: np.ndarray, quadrature: LoopQuadrature):
+    """``omega -> self_energy(medium, lam, omega, quadrature)`` for one sweep.
+
+    The window integrals are evaluated at the first call and the
+    self-energy once per frequency; both live only as long as the
+    returned function.
+    """
+    integrals = []
+    known = {}
+
+    def at(omega: float) -> SelfEnergyResult:
+        if omega not in known:
+            trace = _loop_vertex(medium, lam, omega)
+            if not integrals:
+                integrals.extend(_loop_integrals(medium, quadrature))
+            known[omega] = _self_energy_from(trace, integrals)
+        return known[omega]
+
+    return at
+
+
 def self_energy(
     medium: MediumParams,
     lam: np.ndarray,
@@ -313,7 +334,7 @@ def self_energy(
     three such integrals: the full window, the same window at half the
     nodes, and the half window at the same node spacing.  Each call
     evaluates them afresh; the ``dyson`` command evaluates them once per
-    run and the self-energy once per frequency.
+    run and the self-energy once per frequency (``_self_energy_sweep``).
 
     The reported error estimate combines a trapezoid Richardson term
     (node count halved) with a cutoff-sensitivity term (window halved at
@@ -322,8 +343,7 @@ def self_energy(
     window term is reported but does not gate, so deliberately narrow
     diagnostic windows (e.g. below an undamped resonance) stay usable.
     """
-    trace = _loop_vertex(medium, lam, omega)
-    return _self_energy_from(trace, _loop_integrals(medium, quadrature))
+    return _self_energy_sweep(medium, lam, quadrature)(omega)
 
 
 @dataclass(frozen=True)

@@ -414,13 +414,9 @@ def _kernel(params: MediumParams, w: np.ndarray) -> np.ndarray:
     w2 = w * w
     scale = w2 / params.rho
     out.real = scale * _pv_rows(params.nu, params.loop_cutoff, w, qw)
-    tiny = w2 < _TINY
-    if not tiny.any():
-        out.imag = scale * (math.pi * qw / (2.0 * w))
-        return out
     # where w*w underflows, pi*q/(2w) may overflow: cancel the w first
     with np.errstate(over="ignore", invalid="ignore"):
-        out.imag = np.where(tiny, (w / params.rho) * (math.pi * qw / 2.0), scale * (math.pi * qw / (2.0 * w)))
+        out.imag = np.where(w2 < _TINY, (w / params.rho) * (math.pi * qw / 2.0), scale * (math.pi * qw / (2.0 * w)))
     return out
 
 
