@@ -1,10 +1,9 @@
 """Command dispatch and artifact emission.
 
-Exit codes: 0 success, 2 validation error, 3 numerical-convergence error,
-64 usage error (unknown command or bad flags), 65 malformed JSON input.
-Identical configuration and seed produce byte-identical artifacts; the
-``--threads`` flag (overridden by the NLMEDIUM_THREADS environment
-variable) is an execution hint and never changes results.
+Exit codes: 0 success, 2 validation error (including a missing or
+malformed config value), 3 numerical-convergence error, 64 usage error
+(unknown command or bad flags), 65 malformed JSON input.  Identical
+configuration and seed produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .fieldspace import (
     dyson_dress,
     tree_propagators,
 )
-from .medium import MediumParams, NuZero, _reject_unknown_keys, chi1_spectrum, kk_reconstruct
+from .medium import MediumParams, NuZero, _config_value, _reject_unknown_keys, chi1_spectrum, kk_reconstruct
 from .nonlinear import chi3, lambda_from_config
 from .serialize import (
     comb_from_obj,
@@ -104,23 +103,23 @@ class RunConfig:
         medium = MediumParams.from_config(cfg["medium"])
         lam = lambda_from_config(cfg["lambda"]) if "lambda" in cfg else None
         grids = cfg.get("grids", {})
-        omega_grid = _decode_grid(grids.get("omega", {"start": 0.0, "stop": 2.0 * medium.omega0, "n": 65}))
-        kraw = grids.get("k", [0.0])
-        k_values = np.atleast_1d(np.asarray(kraw, dtype=float))
-        quadruples = [tuple(float(v) for v in q) for q in grids.get("quadruples", [])]
+        default_omega = {"start": 0.0, "stop": 2.0 * medium.omega0, "n": 65}
+        omega_grid = _config_value("grids", grids, "omega", _decode_grid, default_omega)
+        k_values = _config_value("grids", grids, "k", lambda v: np.asarray(v, dtype=float), [0.0])
+        quadruples = _config_value("grids", grids, "quadruples", lambda qs: [tuple(map(float, q)) for q in qs], [])
         loop = cfg.get("loop", {})
         outputs = cfg.get("outputs", {})
         return cls(
             medium=medium,
             lam=lam,
             omega_grid=omega_grid,
-            k_values=k_values,
+            k_values=np.atleast_1d(k_values),
             quadruples=quadruples,
-            loop_n_points=int(loop.get("n_points", 2048)),
-            loop_cutoff=float(loop["cutoff"]) if "cutoff" in loop else None,
-            drive_freq=float(cfg["drive"]["freq"]) if "drive" in cfg else None,
-            drive_ladder=int(cfg.get("drive", {}).get("ladder", 5)),
-            seed=int(seed if seed is not None else cfg.get("seed", 0)),
+            loop_n_points=_config_value("loop", loop, "n_points", int, 2048),
+            loop_cutoff=_config_value("loop", loop, "cutoff", float) if "cutoff" in loop else None,
+            drive_freq=_config_value("drive", cfg["drive"], "freq", float) if "drive" in cfg else None,
+            drive_ladder=_config_value("drive", cfg.get("drive", {}), "ladder", int, 5),
+            seed=int(seed) if seed is not None else _config_value("top level", cfg, "seed", int, 0),
             out_dir=out_dir or outputs.get("dir", "."),
             out_format=out_format or outputs.get("format", "csv"),
         )
@@ -128,7 +127,9 @@ class RunConfig:
 
 def _decode_grid(spec) -> np.ndarray:
     if isinstance(spec, dict):
-        grid = np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["n"]))
+        start = _config_value("grids.omega", spec, "start", float)
+        stop = _config_value("grids.omega", spec, "stop", float)
+        grid = np.linspace(start, stop, _config_value("grids.omega", spec, "n", int))
     else:
         grid = np.asarray(spec, dtype=float)
     if grid.size == 0 or np.any(np.diff(grid) <= 0):
@@ -249,9 +250,9 @@ def _cmd_propagators(config: RunConfig, args) -> list:
     if spec:
         try:
             start, stop, count = spec.split(":")
+            omega_grid = _decode_grid({"start": float(start), "stop": float(stop), "n": int(count)})
         except ValueError:
             raise InputError("--omega-grid expects start:stop:n") from None
-        omega_grid = _decode_grid({"start": start, "stop": stop, "n": count})
     k_values = config.k_values
     if getattr(args, "k_values", None):
         k_values = np.asarray(args.k_values, dtype=float)
@@ -396,7 +397,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--format", choices=("csv", "json"), help="artifact format")
     parser.add_argument("--seed", type=int, help="seed recorded in artifacts")
-    parser.add_argument("--threads", type=int, default=1, help="execution hint; results are identical")
     sub = parser.add_subparsers(dest="command")
     for name in ("chi1", "chi3", "kk-check"):
         sub.add_parser(name)
@@ -441,14 +441,6 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-
-    threads = os.environ.get("NLMEDIUM_THREADS")
-    if threads is not None:
-        try:
-            args.threads = int(threads)
-        except ValueError:
-            sys.stderr.write("error: NLMEDIUM_THREADS must be an integer\n")
-            return EXIT_USAGE
 
     try:
         if args.config:

@@ -10,7 +10,7 @@ every ordered triple of comb lines the two mixing channels contribute
         D_g += (1/16) L[a,b,n,g](w_j, w_k, w_l, w_out) E_a(j) E*_b(k) E_n(l)
 
 with ``L = alpha**4 * lambda0`` carrying one composite-response factor per
-slot, on top of the linear part ``D = eps0 E + g Gamma^T E``.
+slot, on top of the linear part ``D = eps0 E + g gamma E`` (``Gamma = gamma I``).
 
 Contributions to each output line are reduced with exact summation
 (``math.fsum``), so conjugate-closed inputs produce bitwise
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnergyConservationError, InputError, StepSizeError
-from .medium import MediumParams, gamma_response
-from .nonlinear import validate_pairwise_symmetry
+from .medium import MediumParams, _gamma_scalar
+from .nonlinear import lambda0_tensor, validate_pairwise_symmetry
 
 __all__ = [
     "FrequencyComb",
@@ -105,37 +105,18 @@ class FrequencyComb:
 
 
 class _DressedCoupling:
-    """Caches response matrices and slot-dressed coupling tensors."""
+    """Caches the slot-dressed coupling tensors ``alpha**4 * lambda0``."""
 
     def __init__(self, medium: MediumParams, lam: np.ndarray):
         validate_pairwise_symmetry(np.asarray(lam), tol=1e-12)
         self.medium = medium
         self.lam = np.asarray(lam, dtype=complex)
-        self._gamma = {}
         self._dressed = {}
-
-    def gamma(self, w: float) -> np.ndarray:
-        if w not in self._gamma:
-            self._gamma[w] = gamma_response(self.medium, w)
-        return self._gamma[w]
 
     def dressed(self, w1: float, w2: float, w3: float, w4: float) -> np.ndarray:
         key = (w1, w2, w3, w4)
         if key not in self._dressed:
-            m = self.medium
-            if m.g == 0:
-                t = np.zeros((3, 3, 3, 3), dtype=complex)
-            else:
-                t = np.einsum(
-                    "rsxg,ar,bs,mx,ng->abmn",
-                    self.lam,
-                    self.gamma(w1),
-                    self.gamma(w2),
-                    self.gamma(w3),
-                    self.gamma(w4),
-                )
-                t *= m.alpha**4 * m.g**4 / 24.0
-            self._dressed[key] = t
+            self._dressed[key] = self.medium.alpha**4 * lambda0_tensor(self.lam, self.medium, *key)
         return self._dressed[key]
 
 
@@ -169,7 +150,7 @@ def displacement(
     for w, a in comb.lines:
         linear = eps0 * a
         if medium.g:
-            linear = linear + medium.g * (a @ engine.gamma(w))
+            linear = linear + medium.g * (_gamma_scalar(medium, float(w)) * a)
         add(math.fsum((w,)), linear)
 
     lines = comb.lines

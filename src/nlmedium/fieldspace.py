@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DysonPoleError, InputError, LoopConvergenceError, PropagatorPoleError
-from .medium import MediumParams, _gamma_values, gamma_response
+from .medium import MediumParams, _gamma_scalar, _gamma_values
 from .nonlinear import lambda0_tensor
 
 __all__ = [
@@ -111,7 +111,7 @@ def total_kernel(medium: MediumParams, ctx: PlaneWaveContext) -> np.ndarray:
     kernel = medium.eps0 * w**2 * np.eye(3, dtype=complex)
     kernel -= (ctx.k**2 / medium.mu0) * pt
     if medium.g:
-        kernel -= medium.g * w**2 * medium.alpha**2 * gamma_response(medium, w)
+        kernel -= medium.g * w**2 * medium.alpha**2 * _gamma_scalar(medium, float(w)) * np.eye(3)
     return kernel
 
 
@@ -143,7 +143,7 @@ def total_source(medium: MediumParams, j_src, f_src, omega: float) -> np.ndarray
     f_src = np.asarray(f_src, dtype=complex)
     coupled = j_src
     if medium.g and np.any(f_src):
-        coupled = j_src + 0.5 * medium.alpha * medium.g * (gamma_response(medium, omega) @ f_src)
+        coupled = j_src + 0.5 * medium.alpha * medium.g * (_gamma_scalar(medium, float(omega)) * f_src)
     return 1j * omega * coupled
 
 
@@ -171,17 +171,20 @@ def tree_propagators(medium: MediumParams, ctx: PlaneWaveContext) -> PropagatorM
 
     G0_AA = D;  G0_XX = g (Gamma + alpha**2 w**2 Gamma D Gamma);
     G0_AX = g alpha w D Gamma;  G0_XA = g alpha w Gamma D.
-    The matter and mixing blocks vanish outside the medium (g = 0).
+    The response is isotropic, ``Gamma = gamma I``, so every block is a
+    scalar combination of D and I, and G0_AX = G0_XA.  The matter and
+    mixing blocks vanish outside the medium (g = 0).
     """
     d = photon_green(medium, ctx)
     if medium.g == 0:
         zero = np.zeros((3, 3), dtype=complex)
         return PropagatorMatrix(aa=d, ax=zero, xa=zero.copy(), xx=zero.copy())
-    gam = gamma_response(medium, ctx.omega)
     w = ctx.omega
+    gam = _gamma_scalar(medium, float(w))
     a = medium.alpha
-    xx = gam + a**2 * w**2 * (gam @ d @ gam)
-    return PropagatorMatrix(aa=d, ax=a * w * (d @ gam), xa=a * w * (gam @ d), xx=xx)
+    xx = gam * np.eye(3) + a**2 * w**2 * (gam * gam * d)
+    mixing = a * w * (gam * d)
+    return PropagatorMatrix(aa=d, ax=mixing, xa=mixing.copy(), xx=xx)
 
 
 def _convert_leg(tensor: np.ndarray, axis: int, weight: np.ndarray) -> np.ndarray:

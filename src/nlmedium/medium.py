@@ -158,18 +158,42 @@ def nu_from_config(cfg) -> NuZero | NuConstant | NuTabulated:
     if kind == "zero":
         return NuZero()
     if kind == "constant":
-        return NuConstant(nu0=float(cfg["nu0"]), omega_cut=float(cfg["omega_cut"]))
+        nu0 = _config_value("medium.nu", cfg, "nu0", float)
+        return NuConstant(nu0=nu0, omega_cut=_config_value("medium.nu", cfg, "omega_cut", float))
     if kind == "tabulated":
-        values = cfg["values"]
-        arr = np.asarray(
-            [complex(v[0], v[1]) if isinstance(v, (list, tuple)) else float(v) for v in values]
-        )
-        return NuTabulated(grid=np.asarray(cfg["grid"], dtype=float), values=arr)
+        values = _config_value("medium.nu", cfg, "values", _tabulated_values)
+        grid = _config_value("medium.nu", cfg, "grid", lambda v: np.asarray(v, dtype=float))
+        return NuTabulated(grid=grid, values=values)
     raise InputError(f"unknown coupling type {kind!r}")
+
+
+def _tabulated_values(entries) -> np.ndarray:
+    return np.asarray([complex(v[0], v[1]) if isinstance(v, (list, tuple)) else float(v) for v in entries])
+
+
+_REQUIRED = object()
+
+
+def _config_value(section: str, cfg: dict, key: str, convert, default=_REQUIRED):
+    """``convert(cfg[key])``, with ``default`` standing in for an absent key.
+
+    A missing key without a default, or a value that ``convert`` rejects
+    with ``TypeError`` or ``ValueError``, raises ``InputError`` naming the
+    section and the key.
+    """
+    value = cfg.get(key, default)
+    if value is _REQUIRED:
+        raise InputError(f"config section {section!r} needs key {key!r}")
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise InputError(f"bad value for key {key!r} in config section {section!r}") from None
 
 
 def _reject_unknown_keys(section: str, cfg: dict, known) -> None:
     """Raise ``InputError`` naming the first key of ``cfg`` not in ``known``."""
+    if not isinstance(cfg, dict):
+        raise InputError(f"config section {section!r} must be an object")
     unknown = sorted(set(cfg) - set(known))
     if unknown:
         raise InputError(f"unknown key {unknown[0]!r} in config section {section!r}")
@@ -181,10 +205,10 @@ class MediumParams:
 
     Normalized units (``eps0 = mu0 = 1``) are the default; SI values can be
     supplied through the config.  The reservoir mass density ``rho`` is
-    taken constant in frequency.  ``ieps`` is the nominal pole regulator of
-    the kernel prescription; the quadrature takes its limit analytically
-    (principal value plus half residue), so the stored value never enters
-    numerically.
+    taken constant in frequency.  The kernel's pole prescription is taken
+    in its limit analytically (principal value plus half residue), so there
+    is no regulator parameter; ``from_config`` still accepts and ignores an
+    ``ieps`` key so that older configs keep loading.
     """
 
     omega0: float
@@ -196,7 +220,6 @@ class MediumParams:
     eps0: float = 1.0
     mu0: float = 1.0
     loop_cutoff: float = 20.0
-    ieps: float = 1e-12
 
     def __post_init__(self):
         if self.omega0 <= 0:
@@ -205,8 +228,6 @@ class MediumParams:
             raise InputError("chi_s must be positive")
         if self.rho <= 0:
             raise InputError("rho must be positive")
-        if self.ieps <= 0:
-            raise InputError("ieps must be positive")
         if self.loop_cutoff <= self.omega0:
             raise InputError("loop_cutoff must exceed omega0")
         if self.g not in (0, 1):
@@ -216,18 +237,18 @@ class MediumParams:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "MediumParams":
-        _reject_unknown_keys("medium", cfg, cls.__dataclass_fields__)
+        _reject_unknown_keys("medium", cfg, (*cls.__dataclass_fields__, "ieps"))
+        omega0 = _config_value("medium", cfg, "omega0", float)
         return cls(
-            omega0=float(cfg["omega0"]),
-            chi_s=float(cfg["chi_s"]),
-            alpha=float(cfg.get("alpha", 1.0)),
-            rho=float(cfg["rho"]),
+            omega0=omega0,
+            chi_s=_config_value("medium", cfg, "chi_s", float),
+            alpha=_config_value("medium", cfg, "alpha", float, 1.0),
+            rho=_config_value("medium", cfg, "rho", float),
             nu=nu_from_config(cfg.get("nu")),
-            g=int(cfg.get("g", 1)),
-            eps0=float(cfg.get("eps0", 1.0)),
-            mu0=float(cfg.get("mu0", 1.0)),
-            loop_cutoff=float(cfg.get("loop_cutoff", 20.0 * float(cfg["omega0"]))),
-            ieps=float(cfg.get("ieps", 1e-12)),
+            g=_config_value("medium", cfg, "g", int, 1),
+            eps0=_config_value("medium", cfg, "eps0", float, 1.0),
+            mu0=_config_value("medium", cfg, "mu0", float, 1.0),
+            loop_cutoff=_config_value("medium", cfg, "loop_cutoff", float, 20.0 * omega0),
         )
 
     def to_config(self) -> dict:
@@ -241,7 +262,6 @@ class MediumParams:
             "eps0": self.eps0,
             "mu0": self.mu0,
             "loop_cutoff": self.loop_cutoff,
-            "ieps": self.ieps,
         }
 
 
@@ -470,9 +490,11 @@ def _gamma_scalar(params: MediumParams, omega: float) -> complex:
 def _gamma_values(params: MediumParams, omega) -> np.ndarray:
     """``_gamma_scalar`` on a frequency array, with one kernel call.
 
-    ``_gamma_scalar`` stays in Python scalars: its warm-cache calls (tens of
-    thousands per loop integral) would pay more for numpy dispatch than for
-    the arithmetic.
+    Values agree with ``_gamma_scalar`` to rounding, not bitwise: numpy's
+    complex arithmetic rounds differently from Python's.  ``_gamma_scalar``
+    stays in Python scalars because the per-frequency callers (the
+    dressed couplings, the comb displacement, the tree propagators) take
+    its bits, and the bitwise displacement oracle tests fix them.
     """
     w = np.asarray(omega, dtype=float)
     a = np.abs(w)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnergyConservationError, InputError, MillerRatioError
-from .medium import MediumParams, chi1, chi1_scalar, gamma_response
+from .medium import MediumParams, _config_value, chi1_scalar, gamma_response
 
 __all__ = [
     "lambda_isotropic",
@@ -78,19 +78,22 @@ def lambda_from_config(cfg) -> np.ndarray:
     pairs.  Full tables are validated against pairwise-exchange symmetry.
     """
     if "isotropic" in cfg:
-        l1, l2, l3 = (float(v) for v in cfg["isotropic"])
-        return lambda_isotropic(l1, l2, l3)
+        weights = _config_value("lambda", cfg, "isotropic", lambda v: [float(x) for x in v])
+        if len(weights) != 3:
+            raise InputError("isotropic coupling needs three weights")
+        return lambda_isotropic(*weights)
     if "table" in cfg:
-        entries = cfg["table"]
-        if len(entries) != 81:
+        flat = _config_value("lambda", cfg, "table", _table_entries)
+        if flat.shape != (81,):
             raise InputError("coupling table must have 81 entries")
-        flat = np.asarray(
-            [complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v) for v in entries]
-        )
         lam = flat.reshape(3, 3, 3, 3)
         validate_pairwise_symmetry(lam)
         return lam
     raise InputError("coupling config needs 'isotropic' or 'table'")
+
+
+def _table_entries(entries) -> np.ndarray:
+    return np.asarray([complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v) for v in entries])
 
 
 def lambda0_tensor(lam: np.ndarray, medium: MediumParams, w1, w2, w3, w4) -> np.ndarray:
@@ -156,17 +159,13 @@ def chi3(medium: MediumParams, lam: np.ndarray, w, w1, w2, w3) -> np.ndarray:
     """Third-order susceptibility chi3(w; w1, w2, w3), rank-4 complex.
 
     Requires w = w1 - w2 + w3.  Equals (Lambda_abmn + Lambda_anmb)/(32 eps0)
-    with both terms carrying the slot frequencies (w1, w2, w3, w).
+    with ``Lambda = alpha**4 lambda0`` and both terms carrying the slot
+    frequencies (w1, w2, w3, w); since ``chi1 = g Gamma / eps0``, this is
+    the two-permutation form of the module docstring.
     """
     _check_energy(w, w1, w2, w3)
-    lam = np.asarray(lam, dtype=complex)
-    x1 = chi1(medium, w1)
-    x2 = chi1(medium, w2)
-    x3 = chi1(medium, w3)
-    x0 = chi1(medium, w)
-    term1 = np.einsum("gsrk,ag,bs,mr,nk->abmn", lam, x1, x2, x3, x0)
-    term2 = np.einsum("gkrs,ag,nk,mr,bs->abmn", lam, x1, x2, x3, x0)
-    return (medium.eps0**3 * medium.alpha**4 / 32.0) * (term1 + term2) / _FACT4
+    lam0 = lambda0_tensor(lam, medium, w1, w2, w3, w)
+    return medium.alpha**4 / (32.0 * medium.eps0) * (lam0 + lam0.transpose(0, 3, 2, 1))
 
 
 def miller_ratio(medium: MediumParams, lam: np.ndarray, w, w1, w2, w3) -> np.ndarray:

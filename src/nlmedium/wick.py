@@ -348,7 +348,7 @@ def _contract_class(tensor, kinds, match, quad, m_ins, mp_ins, d_mats, tol):
     axes = list(range(len(kinds)))
     for i, j in match:
         if abs(quad[i] - quad[j]) > tol:
-            return 0.0 + 0.0j, True
+            return 0.0 + 0.0j
     value_tensor = work
     for i, j in sorted(match):
         ai, aj = axes.index(i), axes.index(j)
@@ -361,7 +361,7 @@ def _contract_class(tensor, kinds, match, quad, m_ins, mp_ins, d_mats, tol):
         vec = mp_ins[slot] if kinds[slot] == "plain" else m_ins[slot]
         value_tensor = np.tensordot(value_tensor, vec, axes=([a], [0]))
         axes.remove(slot)
-    return complex(value_tensor), False
+    return complex(value_tensor)
 
 
 def assemble_polynomial(tensors, mean_fields, photon_green, tol: float = 0.0) -> PolynomialTerms:
@@ -399,7 +399,7 @@ def assemble_polynomial(tensors, mean_fields, photon_green, tol: float = 0.0) ->
         plains = [i for i, k in enumerate(kinds) if k == "plain"]
         stars = [i for i, k in enumerate(kinds) if k == "star"]
         for match in _partial_matchings(plains, stars):
-            value, _ = _contract_class(tensor, kinds, match, quad, m_ins, mp_ins, d_mats, tol)
+            value = _contract_class(tensor, kinds, match, quad, m_ins, mp_ins, d_mats, tol)
             paired = {s for pair in match for s in pair}
             insertions = tuple((kinds[i], i) for i in range(len(kinds)) if i not in paired)
             buckets[bucket].append(

@@ -5,7 +5,7 @@ import pytest
 
 from nlmedium.errors import LoopConvergenceError
 from nlmedium.fieldspace import PlaneWaveContext, SelfEnergyResult, photon_green, vertex
-from nlmedium.medium import MediumParams, NuConstant, NuTabulated, NuZero, _static_nodes, gamma_response
+from nlmedium.medium import MediumParams, NuConstant, NuTabulated, NuZero, _static_nodes, chi1, gamma_response
 from nlmedium.nonlinear import lambda0_tensor
 
 
@@ -56,6 +56,25 @@ def naive_displacement_line(comb, medium, lam, omega_out):
             math.fsum(p[g].real for p in parts), math.fsum(p[g].imag for p in parts)
         )
     return out
+
+
+def chi3_two_permutation(medium, lam, w, w1, w2, w3):
+    """Reference chi3: the two-permutation form contracted with four chi1 factors.
+
+        chi3_abmn = (eps0**3 alpha**4 / 32) / 4! * [
+            lam_gsrk X_ag(w1) X_bs(w2) X_mr(w3) X_nk(w)
+          + lam_gkrs X_ag(w1) X_nk(w2) X_mr(w3) X_bs(w) ],   X = chi1,
+
+    written directly, without ``lambda0``.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    x1 = chi1(medium, w1)
+    x2 = chi1(medium, w2)
+    x3 = chi1(medium, w3)
+    x0 = chi1(medium, w)
+    term1 = np.einsum("gsrk,ag,bs,mr,nk->abmn", lam, x1, x2, x3, x0)
+    term2 = np.einsum("gkrs,ag,nk,mr,bs->abmn", lam, x1, x2, x3, x0)
+    return (medium.eps0**3 * medium.alpha**4 / 32.0) * (term1 + term2) / 24.0
 
 
 def pv_integral_per_point(nu, upper, w):

@@ -301,11 +301,31 @@ class TestExitCodes:
         assert main(["--config", str(path), "wick-dump", "--order", "1"]) == EXIT_VALIDATION
         assert repr(key) in capsys.readouterr().err
 
-    def test_env_thread_override_accepted(self, config_path, monkeypatch):
-        monkeypatch.setenv("NLMEDIUM_THREADS", "4")
-        assert main(["--config", config_path, "wick-dump", "--order", "2"]) == EXIT_OK
-        monkeypatch.setenv("NLMEDIUM_THREADS", "not-a-number")
-        assert main(["--config", config_path, "wick-dump", "--order", "2"]) == EXIT_USAGE
+    @pytest.mark.parametrize(
+        "section, key, edit",
+        [
+            ("medium", "rho", lambda cfg: cfg["medium"].pop("rho")),
+            ("loop", "n_points", lambda cfg: cfg["loop"].update(n_points="abc")),
+            ("grids.omega", "n", lambda cfg: cfg["grids"]["omega"].pop("n")),
+            ("medium.nu", "omega_cut", lambda cfg: cfg["medium"]["nu"].pop("omega_cut")),
+        ],
+        ids=["missing-rho", "text-n-points", "grid-without-n", "constant-nu-without-cut"],
+    )
+    def test_bad_config_value(self, config_path, tmp_path, capsys, section, key, edit):
+        cfg = read_json(config_path)
+        edit(cfg)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "dyson"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert repr(section) in err and repr(key) in err
+
+    def test_bad_omega_grid_flag(self, config_path, capsys):
+        assert main(["--config", config_path, "propagators", "--omega-grid", "0:1:x"]) == EXIT_VALIDATION
+        assert "--omega-grid" in capsys.readouterr().err
+
+    def test_threads_flag_removed(self, config_path):
+        assert main(["--config", config_path, "--threads", "2", "wick-dump", "--order", "2"]) == EXIT_USAGE
 
 
 class TestDeterminism:

@@ -3,10 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from nlmedium.displacement import FrequencyComb, displacement, extract_chi1_fd, extract_chi3_fd
+from nlmedium.displacement import (
+    FrequencyComb,
+    _DressedCoupling,
+    displacement,
+    extract_chi1_fd,
+    extract_chi3_fd,
+)
 from nlmedium.errors import EnergyConservationError, InputError, StepSizeError
-from nlmedium.medium import MediumParams, chi1
-from nlmedium.nonlinear import chi3, lambda_isotropic
+from nlmedium.medium import MediumParams, NuConstant, chi1
+from nlmedium.nonlinear import chi3, lambda0_tensor, lambda_isotropic
 
 
 class TestComb:
@@ -26,6 +32,18 @@ class TestComb:
     def test_zero_frequency_must_be_real(self):
         with pytest.raises(InputError, match="real amplitude"):
             FrequencyComb.from_lines([(0.0, [1.0j, 0, 0])])
+
+
+def test_dressed_coupling_is_scaled_lambda0():
+    medium = MediumParams(
+        omega0=1.0, chi_s=1.0, alpha=0.37, rho=0.2, nu=NuConstant(0.1, 10.0), loop_cutoff=30.0
+    )
+    lam = lambda_isotropic(0.3, 0.2, 0.1)
+    engine = _DressedCoupling(medium, lam)
+    for key in ((0.9, 0.5, 1.7, 1.3), (-0.4, 0.9, 0.9, -0.4)):
+        want = medium.alpha**4 * lambda0_tensor(lam, medium, *key)
+        assert np.array_equal(engine.dressed(*key), want)
+        assert np.array_equal(engine.dressed(*key), want)  # cached
 
 
 class TestDisplacement:

@@ -1,4 +1,4 @@
-"""Property tests of the vectorised linear-response core over random media.
+"""Property tests of the vectorised linear-response core and of chi3 over random media.
 
 Media are drawn with flat (``NuConstant``) and tabulated couplings.  Grids
 mix random frequencies of both signs with 0 and with nodes the kernel
@@ -6,13 +6,15 @@ quadrature itself uses (its uniform base nodes and the coupling's
 breakpoints), where the pole sits exactly on a quadrature node.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import kk_reconstruct_loop
-from nlmedium.errors import GridResolutionError, ResponsePoleError
+from conftest import chi3_two_permutation, kk_reconstruct_loop
+from nlmedium.errors import GridResolutionError, MillerRatioError, ResponsePoleError
 from nlmedium.medium import (
     MediumParams,
     NuConstant,
@@ -23,6 +25,7 @@ from nlmedium.medium import (
     chi1_spectrum,
     kk_reconstruct,
 )
+from nlmedium.nonlinear import chi3, miller_ratio
 
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -134,3 +137,45 @@ def test_kk_matrix_form_matches_loop_across_chunks(smooth_lossy, n):
     im = chi1_spectrum(smooth_lossy, grid).values[:, 0, 0].imag
     ref = kk_reconstruct_loop(grid, im)
     assert np.max(np.abs(kk_reconstruct(grid, im) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@st.composite
+def chi3_cases(draw):
+    """A random medium, a pair-symmetric 81-entry coupling and three quadruples."""
+    medium = dataclasses.replace(
+        draw(media()),
+        alpha=draw(st.floats(min_value=0.05, max_value=2.0)),
+        eps0=draw(st.floats(min_value=0.2, max_value=5.0)),
+        g=draw(st.sampled_from([0, 1])),
+    )
+    entry = st.floats(min_value=-1.0, max_value=1.0)
+    table = np.asarray(draw(st.lists(st.tuples(entry, entry), min_size=81, max_size=81)))
+    lam = (table[:, 0] + 1j * table[:, 1]).reshape(3, 3, 3, 3)
+    lam = 0.5 * (lam + lam.transpose(2, 3, 0, 1))
+    span = 0.3 * medium.loop_cutoff
+    freq = st.floats(min_value=-span, max_value=span)
+    quadruples = draw(st.lists(st.tuples(freq, freq, freq), min_size=3, max_size=3))
+    return medium, lam, quadruples
+
+
+@SETTINGS
+@given(chi3_cases())
+def test_chi3_single_dressing_site(case):
+    medium, lam, quadruples = case
+    ratios = []
+    for w1, w2, w3 in quadruples:
+        w = w1 - w2 + w3
+        try:
+            got = chi3(medium, lam, w, w1, w2, w3)
+        except ResponsePoleError:
+            reject()
+        ref = chi3_two_permutation(medium, lam, w, w1, w2, w3)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(got))
+        assert np.array_equal(got, got.transpose(0, 3, 2, 1))
+        if medium.g:
+            try:
+                ratios.append(miller_ratio(medium, lam, w, w1, w2, w3))
+            except MillerRatioError:
+                reject()
+    for ratio in ratios[1:]:
+        assert np.max(np.abs(ratio - ratios[0])) <= 1e-13 * np.max(np.abs(ratios[0]))
