@@ -12,14 +12,30 @@ every ordered triple of comb lines the two mixing channels contribute
 with ``L = alpha**4 * lambda0`` carrying one composite-response factor per
 slot, on top of the linear part ``D = eps0 E + g gamma E`` (``Gamma = gamma I``).
 
+The evaluation is split in two.  A plan depends only on the line
+frequencies and the tolerance: it enumerates the terms above, merges
+their output frequencies within tolerance into output lines and dresses
+each term's coupling once.  Its evaluation takes B amplitude sets of shape
+(B, n, 3) at once and gives (B, 3) per output line, with one ``einsum``
+per output line and channel over the line's terms and the batch index.
+``displacement`` is a plan
+evaluated with B = 1.  The finite-difference extractors build one plan
+per extraction, shared by both step sizes, and evaluate every probe
+amplitude of a step (27 x 64 phase-cycled probes for ``chi3``, 6 for
+``chi1``) as one batch, on the output line at the extracted frequency
+only.
+
 Contributions to each output line are reduced with exact summation
 (``math.fsum``), so conjugate-closed inputs produce bitwise
 conjugate-closed outputs for real coupling tensors, independent of
-enumeration order.
+enumeration order.  A term evaluated in a batch equals the same term
+evaluated alone bit for bit, so a probe's result does not depend on its
+batch.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +51,13 @@ __all__ = [
     "extract_chi1_fd",
     "extract_chi3_fd",
 ]
+
+
+def _check_distinct(freqs, tol: float) -> None:
+    for i in range(len(freqs)):
+        for j in range(i + 1, len(freqs)):
+            if abs(freqs[i] - freqs[j]) <= tol:
+                raise InputError("comb frequencies must be pairwise distinct")
 
 
 @dataclass(frozen=True)
@@ -58,11 +81,7 @@ class FrequencyComb:
             raise InputError("comb needs at least one line")
         wmax = max(abs(w) for w, _ in entries)
         tol = tolerance if tolerance is not None else 1e-9 * max(wmax, 1.0)
-        freqs = [w for w, _ in entries]
-        for i in range(len(freqs)):
-            for j in range(i + 1, len(freqs)):
-                if abs(freqs[i] - freqs[j]) <= tol:
-                    raise InputError("comb frequencies must be pairwise distinct")
+        _check_distinct([w for w, _ in entries], tol)
         if mirror:
             entries = cls._close_under_conjugation(entries, tol)
         entries.sort(key=lambda e: e[0])
@@ -120,88 +139,108 @@ class _DressedCoupling:
         return self._dressed[key]
 
 
-def _fsum_vec(parts) -> np.ndarray:
-    """Order-independent exactly-rounded sum of complex 3-vectors."""
-    out = np.zeros(3, dtype=complex)
-    for g in range(3):
-        out[g] = complex(math.fsum(p[g].real for p in parts), math.fsum(p[g].imag for p in parts))
-    return out
+def _fsum(parts: np.ndarray) -> np.ndarray:
+    """Order-independent, exactly rounded sum over the first axis of a complex array."""
+    cols = parts.reshape(len(parts), -1).T
+    out = np.empty(len(cols), dtype=complex)
+    out.real = [math.fsum(c) for c in cols.real.tolist()]
+    out.imag = [math.fsum(c) for c in cols.imag.tolist()]
+    return out.reshape(parts.shape[1:])
 
 
-def displacement(
-    comb: FrequencyComb, medium: MediumParams, lam: np.ndarray, _engine: _DressedCoupling | None = None
-) -> FrequencyComb:
+# channel A: E E E*, output at wj + wk - wl; channel B: E E* E, output at wj - wk + wl.
+# T runs over one output line's terms of the channel, B over the amplitude sets.
+_CHANNELS = ("Tagnm,BTa,BTn,BTm->TBg", "Tabng,BTa,BTb,BTn->TBg")
+
+
+class _CombPlan:
+    """The amplitude-independent part of ``displacement`` for fixed line frequencies.
+
+    ``groups`` holds the output lines in ascending frequency order, each as
+    ``(frequency, linear terms, (channel A terms, channel B terms))``.  A
+    linear term is ``(line, gamma)``, a channel term ``(dressed tensor, j,
+    k, l)`` with the lines that fill the channel's three amplitude slots.
+    Terms with the same frequency key share one tensor; ``evaluate`` stacks
+    a line's tensors only while it contracts them.
+    """
+
+    def __init__(self, freqs, tolerance: float, medium: MediumParams, lam: np.ndarray):
+        coupling = _DressedCoupling(medium, lam)
+        _check_distinct(freqs, tolerance)
+        self.medium = medium
+        self.tolerance = tolerance
+        contributions = {}  # fsum-canonical frequency -> (linear, channel A, channel B) terms
+
+        def terms(w_out: float):
+            return contributions.setdefault(w_out, ([], [], []))
+
+        for i, w in enumerate(freqs):
+            gam = _gamma_scalar(medium, float(w)) if medium.g else None
+            terms(math.fsum((w,)))[0].append((i, gam))
+
+        if np.any(coupling.lam) and medium.g != 0:
+            for j, wj in enumerate(freqs):
+                for k, wk in enumerate(freqs):
+                    for l, wl in enumerate(freqs):
+                        out_a = math.fsum((wj, wk, -wl))
+                        terms(out_a)[1].append((coupling.dressed(wj, out_a, wk, wl), j, k, l))
+                        out_b = math.fsum((wj, -wk, wl))
+                        terms(out_b)[2].append((coupling.dressed(wj, wk, wl, out_b), j, k, l))
+
+        # merge frequency keys that agree within tolerance; the representative
+        # with the largest magnitude keeps mirrored clusters exactly opposite
+        keys = sorted(contributions)
+        clusters = [[keys[0]]]
+        for w in keys[1:]:
+            if w - clusters[-1][-1] <= tolerance:
+                clusters[-1].append(w)
+            else:
+                clusters.append([w])
+        self.groups = []
+        for cluster in clusters:
+            linear, chan_a, chan_b = ([t for w in cluster for t in contributions[w][c]] for c in range(3))
+            self.groups.append((max(cluster, key=abs), linear, (chan_a, chan_b)))
+
+    def evaluate(self, index: int, amps: np.ndarray) -> np.ndarray:
+        """Output line ``index`` for B amplitude sets ``amps`` of shape (B, n, 3); (B, 3)."""
+        _, linear, channels = self.groups[index]
+        eps0, g = self.medium.eps0, self.medium.g
+        parts = []
+        for i, gam in linear:
+            vec = eps0 * amps[:, i]
+            if g:
+                vec = vec + g * (gam * amps[:, i])
+            parts.append(vec[None])
+        conj = np.conj(amps)
+        for subscripts, (x, y, z), terms in zip(_CHANNELS, ((amps, amps, conj), (amps, conj, amps)), channels):
+            if terms:
+                tensors, j, k, l = map(np.array, zip(*terms))
+                parts.append(np.einsum(subscripts, tensors, x[:, j], y[:, k], z[:, l]) / 16.0)
+        return _fsum(np.concatenate(parts))
+
+    def amplitude_at(self, omega: float, amps: np.ndarray) -> np.ndarray:
+        """``FrequencyComb.amplitude_at(omega)`` of the output, for each amplitude set."""
+        for index, (w, _, _) in enumerate(self.groups):
+            if abs(w - omega) <= self.tolerance:
+                return self.evaluate(index, amps)
+        return np.zeros((len(amps), 3), dtype=complex)
+
+
+def displacement(comb: FrequencyComb, medium: MediumParams, lam: np.ndarray) -> FrequencyComb:
     """Displacement-field comb for an input electric-field comb.
 
     Output lines appear at every linear input frequency and at every
     achievable mixing frequency; collisions within tolerance add.  The
     normalization of the cubic term is the zero-field one (the interaction
-    partition factor is unity at vanishing fields).  ``_engine`` lets the
-    finite-difference extractors reuse dressed-tensor caches across probe
-    evaluations.
+    partition factor is unity at vanishing fields).
     """
-    engine = _engine if _engine is not None else _DressedCoupling(medium, lam)
-    eps0 = medium.eps0
-    contributions = {}  # fsum-canonical frequency -> list of 3-vectors
-
-    def add(w_out: float, vec: np.ndarray):
-        contributions.setdefault(w_out, []).append(vec)
-
-    for w, a in comb.lines:
-        linear = eps0 * a
-        if medium.g:
-            linear = linear + medium.g * (_gamma_scalar(medium, float(w)) * a)
-        add(math.fsum((w,)), linear)
-
-    lines = comb.lines
-    n = len(lines)
-    has_coupling = bool(np.any(np.asarray(lam))) and medium.g != 0
-    if has_coupling:
-        for j in range(n):
-            wj, aj = lines[j]
-            for k in range(n):
-                wk, ak = lines[k]
-                for l in range(n):
-                    wl, al = lines[l]
-                    # channel A: E E E*, output at wj + wk - wl
-                    out_a = math.fsum((wj, wk, -wl))
-                    t_a = engine.dressed(wj, out_a, wk, wl)
-                    vec_a = np.einsum("agnm,a,n,m->g", t_a, aj, ak, np.conj(al)) / 16.0
-                    add(out_a, vec_a)
-                    # channel B: E E* E, output at wj - wk + wl
-                    out_b = math.fsum((wj, -wk, wl))
-                    t_b = engine.dressed(wj, wk, wl, out_b)
-                    vec_b = np.einsum("abng,a,b,n->g", t_b, aj, np.conj(ak), al) / 16.0
-                    add(out_b, vec_b)
-
-    # merge frequency keys that agree within tolerance; the representative
-    # with the largest magnitude keeps mirrored clusters exactly opposite
-    keys = sorted(contributions)
-    merged = []
-    group = [keys[0]]
-    for w in keys[1:]:
-        if w - group[-1] <= comb.tolerance:
-            group.append(w)
-        else:
-            merged.append(group)
-            group = [w]
-    merged.append(group)
-
-    out_lines = []
-    for group in merged:
-        rep = max(group, key=abs)
-        parts = [v for w in group for v in contributions[w]]
-        out_lines.append((rep, _fsum_vec(parts)))
-    out_lines.sort(key=lambda e: e[0])
-    return FrequencyComb(lines=tuple(out_lines), tolerance=comb.tolerance)
+    plan = _CombPlan([w for w, _ in comb.lines], comb.tolerance, medium, lam)
+    amps = np.array([[a for _, a in comb.lines]], dtype=complex)
+    lines = tuple((w, plan.evaluate(i, amps)[0]) for i, (w, _, _) in enumerate(plan.groups))
+    return FrequencyComb(lines=lines, tolerance=comb.tolerance)
 
 
 _QUARTER_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-
-
-def _probe(freqs, amps, tol):
-    lines = [(w, a) for w, a in zip(freqs, amps)]
-    return FrequencyComb.from_lines(lines, tolerance=tol, mirror=False)
 
 
 def extract_chi1_fd(medium: MediumParams, lam: np.ndarray, omega: float, h: float) -> np.ndarray:
@@ -209,24 +248,23 @@ def extract_chi1_fd(medium: MediumParams, lam: np.ndarray, omega: float, h: floa
 
     Probes single unmirrored lines of amplitude ``±h`` along each basis
     direction and returns the Richardson combination of the h and h/2
-    central differences, as ``dD/dE / eps0 - identity``.  Raises
+    central differences, as ``dD/dE / eps0 - identity``.  The six probes
+    of a step are one batch on a plan shared by both steps.  Raises
     ``StepSizeError`` when the two step sizes disagree by more than 1e-6
     relative (cubic contamination).
     """
     if not (1e-8 <= h <= 1e-2):
         raise InputError("perturbation size must lie in [1e-8, 1e-2]")
-    tol = 1e-9 * max(abs(omega), 1.0)
-    engine = _DressedCoupling(medium, lam)
+    plan = _CombPlan([float(omega)], 1e-9 * max(abs(omega), 1.0), medium, lam)
 
     def fd(step):
-        cols = []
-        for b in range(3):
-            e = np.zeros(3, dtype=complex)
-            e[b] = step
-            plus = displacement(_probe([omega], [e], tol), medium, lam, _engine=engine).amplitude_at(omega)
-            minus = displacement(_probe([omega], [-e], tol), medium, lam, _engine=engine).amplitude_at(omega)
-            cols.append((plus - minus) / (2.0 * step))
-        return np.stack(cols, axis=1) / medium.eps0 - np.eye(3)
+        basis = np.zeros((3, 3), dtype=complex)
+        basis[np.diag_indices(3)] = step
+        # probes +e_0, -e_0, +e_1, -e_1, +e_2, -e_2
+        amps = np.stack([basis, -basis], axis=1).reshape(6, 1, 3)
+        d_out = plan.amplitude_at(omega, amps).reshape(3, 2, 3)
+        cols = (d_out[:, 0] - d_out[:, 1]) / (2.0 * step)
+        return cols.T / medium.eps0 - np.eye(3)
 
     coarse = fd(h)
     fine = fd(h / 2.0)
@@ -236,33 +274,28 @@ def extract_chi1_fd(medium: MediumParams, lam: np.ndarray, omega: float, h: floa
     return (4.0 * fine - coarse) / 3.0
 
 
-def _mixed_third_derivative(medium, lam, w, w1, w2, w3, h):
+def _mixed_third_derivative(plan, positions, w, h):
     """Wirtinger derivative d^3 D(w) / dE(w1) dE*(w2) dE(w3) at E = 0.
 
-    Phase-cycles each probe amplitude over the fourth roots of unity,
-    which isolates the a1 * conj(a2) * a3 monomial exactly (the cubic is
-    a polynomial, so the extraction has no truncation error).
+    ``plan`` holds the probe lines w1, w2, w3 at ``positions`` of its line
+    order.  Phase-cycles each probe amplitude over the fourth roots of
+    unity, which isolates the a1 * conj(a2) * a3 monomial exactly (the
+    cubic is a polynomial, so the extraction has no truncation error).
+    The 27 x 64 probes (basis directions b, m, n times phases) are one
+    batch, and each (b, m, n) sums its 64 phases exactly.
     """
-    tol = 1e-9 * max(abs(w), abs(w1), abs(w2), abs(w3), 1.0)
-    engine = _DressedCoupling(medium, lam)
-    deriv = np.zeros((3, 3, 3, 3), dtype=complex)
-    for b in range(3):
-        for m in range(3):
-            for n in range(3):
-                acc = []
-                for p1 in _QUARTER_PHASES:
-                    for p2 in _QUARTER_PHASES:
-                        for p3 in _QUARTER_PHASES:
-                            amps = [
-                                np.eye(3)[b] * (p1 * h),
-                                np.eye(3)[m] * (p2 * h),
-                                np.eye(3)[n] * (p3 * h),
-                            ]
-                            comb = _probe([w1, w2, w3], amps, tol)
-                            d_out = displacement(comb, medium, lam, _engine=engine).amplitude_at(w)
-                            acc.append(np.conj(p1) * p2 * np.conj(p3) * d_out)
-                deriv[:, b, m, n] = _fsum_vec(acc) / (64.0 * h**3)
-    return deriv
+    directions = list(itertools.product(range(3), repeat=3))
+    phases = list(itertools.product(_QUARTER_PHASES, repeat=3))
+    eye = np.eye(3)
+    amps = np.zeros((len(directions), len(phases), 3, 3), dtype=complex)
+    for slot, pos in enumerate(positions):
+        rows = eye[[d[slot] for d in directions]]
+        steps = np.array([p[slot] * h for p in phases])
+        amps[:, :, pos] = rows[:, None, :] * steps[None, :, None]
+    d_out = plan.amplitude_at(w, amps.reshape(-1, 3, 3)).reshape(len(directions), len(phases), 3)
+    weights = np.array([np.conj(p1) * p2 * np.conj(p3) for p1, p2, p3 in phases])
+    deriv = _fsum((weights[None, :, None] * d_out).transpose(1, 0, 2)) / (64.0 * h**3)
+    return deriv.T.reshape(3, 3, 3, 3)
 
 
 def extract_chi3_fd(medium: MediumParams, lam: np.ndarray, w, w1, w2, w3, h: float) -> np.ndarray:
@@ -273,14 +306,23 @@ def extract_chi3_fd(medium: MediumParams, lam: np.ndarray, w, w1, w2, w3, h: flo
     integral terms of the constitutive law each generate the tensor twice
     under the pairwise-exchange symmetry of the coupling.  The result is
     directly comparable to ``nonlinear.chi3``.
+
+    The probe lines w1, w2, w3 fix one plan, shared by the h and h/2
+    steps.  Each step phase-cycles 27 x 64 probe amplitude sets and
+    evaluates them as one batch on the output line at w only; the result
+    is bitwise that of one ``displacement`` call per probe comb.
     """
     if not (1e-8 <= h <= 1e-2):
         raise InputError("perturbation size must lie in [1e-8, 1e-2]")
     scale = max(abs(w), abs(w1), abs(w2), abs(w3), 1e-300)
     if abs(w - (w1 - w2 + w3)) > 1e-9 * scale:
         raise EnergyConservationError("energy conservation violated")
-    coarse = _mixed_third_derivative(medium, lam, w, w1, w2, w3, h)
-    fine = _mixed_third_derivative(medium, lam, w, w1, w2, w3, h / 2.0)
+    probe = (float(w1), float(w2), float(w3))
+    order = sorted(range(3), key=lambda s: probe[s])  # the line order of a probe comb
+    plan = _CombPlan([probe[s] for s in order], 1e-9 * max(abs(w), abs(w1), abs(w2), abs(w3), 1.0), medium, lam)
+    positions = [order.index(s) for s in range(3)]
+    coarse = _mixed_third_derivative(plan, positions, w, h)
+    fine = _mixed_third_derivative(plan, positions, w, h / 2.0)
     norm = max(float(np.max(np.abs(fine))), 1e-300)
     if float(np.max(np.abs(coarse - fine))) / norm > 1e-6:
         raise StepSizeError("step too large")

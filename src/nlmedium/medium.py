@@ -154,6 +154,7 @@ def nu_from_config(cfg) -> NuZero | NuConstant | NuTabulated:
     """Build a coupling spec from its JSON form (see ``to_config``)."""
     if cfg is None:
         return NuZero()
+    _reject_unknown_keys("medium.nu", cfg, ("type", "nu0", "omega_cut", "grid", "values"))
     kind = cfg.get("type", "zero")
     if kind == "zero":
         return NuZero()
@@ -350,9 +351,12 @@ def _pv_rows(nu, upper: float, w: np.ndarray, qw: np.ndarray) -> np.ndarray:
     """
     nodes = _static_nodes(nu, upper)
     step = max(1, _CHUNK_ELEMENTS // nodes[0].size)
+    # one workspace for every chunk: fresh (rows x nodes) temporaries per
+    # chunk let the allocator return and re-fault their pages each time
+    work = np.empty((3, min(step, w.size), nodes[0].size))
     pv = np.concatenate(
         [
-            _pv_chunk(nu, upper, w[i : i + step], qw[i : i + step], *nodes)
+            _pv_chunk(nu, upper, w[i : i + step], qw[i : i + step], *nodes, work)
             for i in range(0, w.size, step)
         ]
     )
@@ -363,7 +367,7 @@ def _pv_rows(nu, upper: float, w: np.ndarray, qw: np.ndarray) -> np.ndarray:
     return pv
 
 
-def _pv_chunk(nu, upper, w, qw, x, x2, q, half_dx):
+def _pv_chunk(nu, upper, w, qw, x, x2, q, half_dx, work):
     """Trapezoid sums of the pole-subtracted integrand for one row chunk.
 
     The cluster is merged by position, not by sorting: a base interval that
@@ -371,7 +375,9 @@ def _pv_chunk(nu, upper, w, qw, x, x2, q, half_dx):
     cut into are added instead.  A row thus sums exactly the trapezoid
     terms of its merged node list.  A base node within ``tol`` of the pole
     is dropped from that list; cluster nodes keep at least ``floor`` from
-    the pole, which exceeds ``tol`` whenever ``upper > 1e-4``.
+    the pole, which exceeds ``tol`` whenever ``upper > 1e-4``.  The
+    (rows x nodes) arrays live in ``work``, three buffers of at least
+    ``w.size`` rows.
     """
     floor = 1e-9 * upper
     tol = 1e-13 * max(upper, 1.0)
@@ -380,9 +386,10 @@ def _pv_chunk(nu, upper, w, qw, x, x2, q, half_dx):
     span = 0.5 * np.minimum(w, upper - w)
     rows = np.flatnonzero(span > floor)
     r = rows[:, None]
+    num, den, f = work[:, : w.size]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f = (q - qw) / (x2 - w2)
-        terms = half_dx * (f[:, 1:] + f[:, :-1])
+        f = np.divide(np.subtract(q, qw, out=num), np.subtract(x2, w2, out=den), out=f)
+        terms = np.multiply(half_dx, np.add(f[:, 1:], f[:, :-1], out=num[:, :-1]), out=num[:, :-1])
         e = _cluster(w[rows], span[rows], floor)
         g = (np.asarray(nu.q(e), dtype=float) - qw[rows]) / (e * e - w2[rows])
         s = np.searchsorted(x, e, side="right")  # x[s - 1] <= e < x[s]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnergyConservationError, InputError, MillerRatioError
-from .medium import MediumParams, _config_value, chi1_scalar, gamma_response
+from .medium import MediumParams, _config_value, _reject_unknown_keys, chi1_scalar, gamma_response
 
 __all__ = [
     "lambda_isotropic",
@@ -77,6 +77,7 @@ def lambda_from_config(cfg) -> np.ndarray:
     in row-major slot order; table entries may be numbers or [re, im]
     pairs.  Full tables are validated against pairwise-exchange symmetry.
     """
+    _reject_unknown_keys("lambda", cfg, ("isotropic", "table"))
     if "isotropic" in cfg:
         weights = _config_value("lambda", cfg, "isotropic", lambda v: [float(x) for x in v])
         if len(weights) != 3:

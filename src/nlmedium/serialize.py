@@ -14,6 +14,7 @@ import json
 import numpy as np
 
 from .errors import InputError
+from .medium import _config_value, _reject_unknown_keys
 
 __all__ = [
     "fmt_float",
@@ -101,7 +102,15 @@ def comb_from_obj(obj):
     if not isinstance(obj, list):
         raise InputError("comb JSON must be a list of lines")
     lines = []
-    for entry in obj:
-        amp = [complex(p[0], p[1]) for p in entry["amp"]]
-        lines.append((float(entry["omega"]), np.asarray(amp)))
+    for i, entry in enumerate(obj):
+        section = f"comb line {i}"
+        _reject_unknown_keys(section, entry, ("omega", "amp"))
+        lines.append((_config_value(section, entry, "omega", float), _config_value(section, entry, "amp", _amplitude)))
     return FrequencyComb.from_lines(lines)
+
+
+def _amplitude(pairs) -> np.ndarray:
+    amp = np.asarray([complex(re, im) for re, im in pairs])
+    if amp.shape != (3,):
+        raise ValueError("an amplitude has three [re, im] pairs")
+    return amp

@@ -3,9 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from nlmedium.errors import LoopConvergenceError
+from nlmedium.displacement import FrequencyComb, _DressedCoupling
+from nlmedium.errors import LoopConvergenceError, StepSizeError
 from nlmedium.fieldspace import PlaneWaveContext, SelfEnergyResult, photon_green, vertex
-from nlmedium.medium import MediumParams, NuConstant, NuTabulated, NuZero, _static_nodes, chi1, gamma_response
+from nlmedium.medium import (
+    MediumParams,
+    NuConstant,
+    NuTabulated,
+    NuZero,
+    _gamma_scalar,
+    _static_nodes,
+    chi1,
+    gamma_response,
+)
 from nlmedium.nonlinear import lambda0_tensor
 
 
@@ -56,6 +66,119 @@ def naive_displacement_line(comb, medium, lam, omega_out):
             math.fsum(p[g].real for p in parts), math.fsum(p[g].imag for p in parts)
         )
     return out
+
+
+def _fsum_vec(parts):
+    out = np.zeros(3, dtype=complex)
+    for g in range(3):
+        out[g] = complex(math.fsum(p[g].real for p in parts), math.fsum(p[g].imag for p in parts))
+    return out
+
+
+def displacement_per_triple(comb, medium, lam, engine=None):
+    """Reference comb displacement: two ``einsum`` calls per ordered line triple.
+
+    The unbatched form of ``displacement``: one amplitude set, terms keyed
+    by their fsum output frequency in a dict, keys merged within tolerance
+    with the largest-magnitude representative, one ``math.fsum`` per
+    component of each output line.  ``engine``, a ``_DressedCoupling``,
+    lets the per-probe extractors below share dressed tensors across calls.
+    """
+    engine = engine if engine is not None else _DressedCoupling(medium, lam)
+    contributions = {}
+
+    def add(w_out, vec):
+        contributions.setdefault(w_out, []).append(vec)
+
+    for w, a in comb.lines:
+        linear = medium.eps0 * a
+        if medium.g:
+            linear = linear + medium.g * (_gamma_scalar(medium, float(w)) * a)
+        add(math.fsum((w,)), linear)
+    lines = comb.lines
+    if bool(np.any(np.asarray(lam))) and medium.g != 0:
+        for wj, aj in lines:
+            for wk, ak in lines:
+                for wl, al in lines:
+                    out_a = math.fsum((wj, wk, -wl))
+                    t_a = engine.dressed(wj, out_a, wk, wl)
+                    add(out_a, np.einsum("agnm,a,n,m->g", t_a, aj, ak, np.conj(al)) / 16.0)
+                    out_b = math.fsum((wj, -wk, wl))
+                    t_b = engine.dressed(wj, wk, wl, out_b)
+                    add(out_b, np.einsum("abng,a,b,n->g", t_b, aj, np.conj(ak), al) / 16.0)
+    keys = sorted(contributions)
+    merged = [[keys[0]]]
+    for w in keys[1:]:
+        if w - merged[-1][-1] <= comb.tolerance:
+            merged[-1].append(w)
+        else:
+            merged.append([w])
+    out_lines = [(max(group, key=abs), _fsum_vec([v for w in group for v in contributions[w]])) for group in merged]
+    out_lines.sort(key=lambda e: e[0])
+    return FrequencyComb(lines=tuple(out_lines), tolerance=comb.tolerance)
+
+
+def _probe_comb(freqs, amps, tol):
+    return FrequencyComb.from_lines(list(zip(freqs, amps)), tolerance=tol, mirror=False)
+
+
+def extract_chi1_fd_per_probe(medium, lam, omega, h):
+    """Reference ``extract_chi1_fd``: one ``displacement_per_triple`` call per probe."""
+    tol = 1e-9 * max(abs(omega), 1.0)
+    engine = _DressedCoupling(medium, lam)
+
+    def fd(step):
+        cols = []
+        for b in range(3):
+            e = np.zeros(3, dtype=complex)
+            e[b] = step
+            plus = displacement_per_triple(_probe_comb([omega], [e], tol), medium, lam, engine).amplitude_at(omega)
+            minus = displacement_per_triple(_probe_comb([omega], [-e], tol), medium, lam, engine).amplitude_at(omega)
+            cols.append((plus - minus) / (2.0 * step))
+        return np.stack(cols, axis=1) / medium.eps0 - np.eye(3)
+
+    coarse = fd(h)
+    fine = fd(h / 2.0)
+    scale = max(float(np.max(np.abs(fine))), 1e-300)
+    if float(np.max(np.abs(coarse - fine))) / scale > 1e-6:
+        raise StepSizeError("step too large")
+    return (4.0 * fine - coarse) / 3.0
+
+
+_QUARTER_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+
+def mixed_third_derivative_per_probe(medium, lam, w, w1, w2, w3, h):
+    """Reference phase-cycled mixed derivative: 27 x 64 probe combs, one at a time."""
+    tol = 1e-9 * max(abs(w), abs(w1), abs(w2), abs(w3), 1.0)
+    engine = _DressedCoupling(medium, lam)
+    deriv = np.zeros((3, 3, 3, 3), dtype=complex)
+    for b in range(3):
+        for m in range(3):
+            for n in range(3):
+                acc = []
+                for p1 in _QUARTER_PHASES:
+                    for p2 in _QUARTER_PHASES:
+                        for p3 in _QUARTER_PHASES:
+                            amps = [np.eye(3)[b] * (p1 * h), np.eye(3)[m] * (p2 * h), np.eye(3)[n] * (p3 * h)]
+                            comb = _probe_comb([w1, w2, w3], amps, tol)
+                            d_out = displacement_per_triple(comb, medium, lam, engine).amplitude_at(w)
+                            acc.append(np.conj(p1) * p2 * np.conj(p3) * d_out)
+                deriv[:, b, m, n] = _fsum_vec(acc) / (64.0 * h**3)
+    return deriv
+
+
+def extract_chi3_fd_per_probe(medium, lam, w, w1, w2, w3, h):
+    """Reference ``extract_chi3_fd`` from ``mixed_third_derivative_per_probe``.
+
+    Input validation is left to the caller.
+    """
+    coarse = mixed_third_derivative_per_probe(medium, lam, w, w1, w2, w3, h)
+    fine = mixed_third_derivative_per_probe(medium, lam, w, w1, w2, w3, h / 2.0)
+    norm = max(float(np.max(np.abs(fine))), 1e-300)
+    if float(np.max(np.abs(coarse - fine))) / norm > 1e-6:
+        raise StepSizeError("step too large")
+    return (4.0 * fine - coarse) / 3.0 / (4.0 * medium.eps0)
 
 
 def chi3_two_permutation(medium, lam, w, w1, w2, w3):

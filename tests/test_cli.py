@@ -324,6 +324,39 @@ class TestExitCodes:
         assert main(["--config", config_path, "propagators", "--omega-grid", "0:1:x"]) == EXIT_VALIDATION
         assert "--omega-grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ({"omega": 0.9}, "amp"),
+            ({"omega": 0.9, "amp": [[0.1, 0.0], [0.0], [0.0, 0.0]]}, "amp"),
+            ({"omega": 0.9, "amp": [[0.1, 0.0], [0.0, 0.0]]}, "amp"),
+            ({"omega": "x", "amp": [[0.1, 0.0], [0.0, 0.0], [0.0, 0.0]]}, "omega"),
+        ],
+        ids=["missing-amp", "short-pair", "two-pairs", "text-omega"],
+    )
+    def test_bad_comb_line(self, config_path, tmp_path, capsys, line, key):
+        src = tmp_path / "comb.json"
+        src.write_text(json.dumps([line]))
+        assert main(["--config", config_path, "displacement", "--in", str(src)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert repr("comb line 0") in err and repr(key) in err
+
+    @pytest.mark.parametrize(
+        "section, edit",
+        [
+            ("medium.nu", lambda cfg: cfg["medium"].update(nu=3)),
+            ("lambda", lambda cfg: cfg.update({"lambda": 3})),
+        ],
+        ids=["nu-not-object", "lambda-not-object"],
+    )
+    def test_config_section_not_object(self, config_path, tmp_path, capsys, section, edit):
+        cfg = read_json(config_path)
+        edit(cfg)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "chi1"]) == EXIT_VALIDATION
+        assert f"config section {section!r} must be an object" in capsys.readouterr().err
+
     def test_threads_flag_removed(self, config_path):
         assert main(["--config", config_path, "--threads", "2", "wick-dump", "--order", "2"]) == EXIT_USAGE
 

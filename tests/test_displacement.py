@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import extract_chi1_fd_per_probe, extract_chi3_fd_per_probe
 from nlmedium.displacement import (
     FrequencyComb,
     _DressedCoupling,
@@ -194,3 +195,55 @@ class TestChi3FiniteDifference:
         )
         got = extract_chi3_fd(doubled, lam, w, w1, w2, w3, 1e-3)
         assert np.max(np.abs(got - 16.0 * base)) < 1e-4 * np.max(np.abs(16.0 * base))
+
+
+def _anisotropic_coupling():
+    rng = np.random.default_rng(2024)
+    lam = rng.normal(size=(3, 3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3, 3))
+    return 0.05 * (lam + lam.transpose(2, 3, 0, 1))
+
+
+_COUPLINGS = {
+    "isotropic": lambda_isotropic(0.25, 0.4, 0.35),
+    "anisotropic": _anisotropic_coupling(),
+    "zero": np.zeros((3, 3, 3, 3)),
+}
+
+
+def _same_bits(got, ref):
+    return got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+class TestBatchedProbesMatchPerProbe:
+    """The batched extractors against one ``displacement`` per probe comb, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "medium_name, coupling, quad",
+        [
+            ("lossy", "isotropic", (0.52, 0.17, 0.31)),
+            ("lossless", "isotropic", (0.31, 0.17, 0.52)),
+            ("smooth_lossy", "anisotropic", (1.1, 0.35, 0.6)),
+            ("lossy", "zero", (0.3, 0.1, 0.4)),
+        ],
+    )
+    def test_chi3(self, request, medium_name, coupling, quad):
+        medium = request.getfixturevalue(medium_name)
+        lam = _COUPLINGS[coupling]
+        w1, w2, w3 = quad
+        w = w1 - w2 + w3
+        got = extract_chi3_fd(medium, lam, w, w1, w2, w3, 1e-3)
+        assert _same_bits(got, extract_chi3_fd_per_probe(medium, lam, w, w1, w2, w3, 1e-3))
+
+    @pytest.mark.parametrize(
+        "medium_name, coupling",
+        [("lossy", "isotropic"), ("lossless", "isotropic"), ("smooth_lossy", "anisotropic"), ("lossy", "zero")],
+    )
+    def test_chi1(self, request, medium_name, coupling):
+        medium = request.getfixturevalue(medium_name)
+        lam = _COUPLINGS[coupling]
+        got = extract_chi1_fd(medium, lam, 0.6, 1e-4)
+        assert _same_bits(got, extract_chi1_fd_per_probe(medium, lam, 0.6, 1e-4))
+
+    def test_degenerate_quadruple_rejected(self, lossy):
+        with pytest.raises(InputError, match="pairwise distinct"):
+            extract_chi3_fd(lossy, _COUPLINGS["isotropic"], 0.4, 0.3, 0.3, 0.4, 1e-3)

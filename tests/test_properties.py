@@ -1,4 +1,4 @@
-"""Property tests of the vectorised linear-response core and of chi3 over random media.
+"""Property tests of the vectorised linear-response core, chi3 and the comb displacement over random media.
 
 Media are drawn with flat (``NuConstant``) and tabulated couplings.  Grids
 mix random frequencies of both signs with 0 and with nodes the kernel
@@ -13,12 +13,14 @@ import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import chi3_two_permutation, kk_reconstruct_loop
-from nlmedium.errors import GridResolutionError, MillerRatioError, ResponsePoleError
+from conftest import chi3_two_permutation, kk_reconstruct_loop, naive_displacement_line
+from nlmedium.displacement import FrequencyComb, displacement
+from nlmedium.errors import GridResolutionError, InputError, MillerRatioError, ResponsePoleError
 from nlmedium.medium import (
     MediumParams,
     NuConstant,
     NuTabulated,
+    _gamma_scalar,
     _sigma_scalar,
     _sigma_values,
     _static_nodes,
@@ -179,3 +181,51 @@ def test_chi3_single_dressing_site(case):
                 reject()
     for ratio in ratios[1:]:
         assert np.max(np.abs(ratio - ratios[0])) <= 1e-13 * np.max(np.abs(ratios[0]))
+
+
+@st.composite
+def comb_cases(draw):
+    """A random medium, a real pair-symmetric coupling, 1-3 positive comb lines and a line order."""
+    medium = draw(media())
+    lam = np.asarray(draw(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=81, max_size=81)))
+    lam = 0.5 * (lam.reshape(3, 3, 3, 3) + lam.reshape(3, 3, 3, 3).transpose(2, 3, 0, 1))
+    freq = st.floats(min_value=0.05, max_value=0.3 * medium.loop_cutoff)
+    freqs = draw(st.lists(freq, min_size=1, max_size=3, unique=True))
+    part = st.floats(min_value=-1.0, max_value=1.0)
+    lines = []
+    for w in freqs:
+        amp = np.asarray(draw(st.lists(st.tuples(part, part), min_size=3, max_size=3)))
+        lines.append((w, amp[:, 0] + 1j * amp[:, 1]))
+    order = draw(st.permutations(range(2 * len(freqs))))
+    return medium, lam, lines, order, draw(st.integers(0, 200))
+
+
+@SETTINGS
+@given(comb_cases())
+def test_comb_closure(case):
+    medium, lam, lines, order, pick = case
+    try:
+        comb = FrequencyComb.from_lines(lines)
+        out = displacement(comb, medium, lam)
+    except (InputError, ResponsePoleError):
+        reject()
+    assert out.is_conjugate_closed()
+
+    # the enumeration follows the line order, the fsum reduction makes it irrelevant
+    permuted = displacement(FrequencyComb(tuple(comb.lines[i] for i in order), comb.tolerance), medium, lam)
+    assert len(permuted.lines) == len(out.lines)
+    for (w, a), (v, b) in zip(out.lines, permuted.lines):
+        assert np.float64(w).tobytes() == np.float64(v).tobytes() and a.tobytes() == b.tobytes()
+
+    # The naive oracle sums each term's 27 products in another order than the
+    # einsum, so the two agree to rounding, not bitwise, for general couplings.
+    # Bound: 64 ulp of the summed magnitudes, with |lambda0| <= |lam| gamma^4 / 4!
+    # and every term of one line counted at its largest size.
+    w, got = out.lines[pick % len(out.lines)]
+    ref = naive_displacement_line(comb, medium, lam, w)
+    n = len(comb.lines)
+    gam = max(abs(_gamma_scalar(medium, float(v))) for v, _ in comb.lines + out.lines)
+    amp = max(float(np.sum(np.abs(a))) for _, a in comb.lines)
+    linear = n * (medium.eps0 + gam) * amp
+    cubic = 2 * n**3 * medium.alpha**4 * float(np.max(np.abs(lam))) * gam**4 / 24.0 * amp**3 / 16.0
+    assert np.all(np.abs(got - ref) <= 64 * np.finfo(float).eps * (linear + cubic))
