@@ -109,6 +109,8 @@ class RunConfig:
         quadruples = _config_value("grids", grids, "quadruples", lambda qs: [tuple(map(float, q)) for q in qs], [])
         loop = cfg.get("loop", {})
         outputs = cfg.get("outputs", {})
+        config_dir = _config_value("outputs", outputs, "dir", os.fspath, ".")
+        config_format = _config_value("outputs", outputs, "format", _artifact_format, "csv")
         return cls(
             medium=medium,
             lam=lam,
@@ -120,9 +122,15 @@ class RunConfig:
             drive_freq=_config_value("drive", cfg["drive"], "freq", float) if "drive" in cfg else None,
             drive_ladder=_config_value("drive", cfg.get("drive", {}), "ladder", int, 5),
             seed=int(seed) if seed is not None else _config_value("top level", cfg, "seed", int, 0),
-            out_dir=out_dir or outputs.get("dir", "."),
-            out_format=out_format or outputs.get("format", "csv"),
+            out_dir=out_dir or config_dir,
+            out_format=out_format or config_format,
         )
+
+
+def _artifact_format(value) -> str:
+    if value not in ("csv", "json"):
+        raise ValueError("expected 'csv' or 'json'")
+    return value
 
 
 def _decode_grid(spec) -> np.ndarray:
@@ -149,6 +157,7 @@ def _out_path(config: RunConfig, name: str) -> str:
 
 
 _COMPONENTS = [f"{i}{j}" for i in range(3) for j in range(3)]
+_CHI3_COMPONENTS = [ab + mn for ab in _COMPONENTS for mn in _COMPONENTS]
 
 
 def _cmd_chi1(config: RunConfig, args) -> list:
@@ -166,8 +175,7 @@ def _cmd_chi1(config: RunConfig, args) -> list:
         return [path]
     rows = []
     for w, m in zip(spectrum.freq_grid, spectrum.values):
-        for idx, comp in enumerate(_COMPONENTS):
-            v = m[idx // 3, idx % 3]
+        for comp, v in zip(_COMPONENTS, m.reshape(-1)):
             rows.append((w, comp, v.real, v.imag))
     path = _out_path(config, "chi1.csv")
     write_csv(path, ("omega", "component", "re", "im"), rows)
@@ -193,13 +201,8 @@ def _cmd_chi3(config: RunConfig, args) -> list:
                 }
             )
         else:
-            flat = tensor.reshape(3, 3, 3, 3)
-            for a in range(3):
-                for b in range(3):
-                    for m in range(3):
-                        for n in range(3):
-                            v = flat[a, b, m, n]
-                            rows.append((w, w1, w2, w3, f"{a}{b}{m}{n}", v.real, v.imag))
+            for comp, v in zip(_CHI3_COMPONENTS, tensor.reshape(-1)):
+                rows.append((w, w1, w2, w3, comp, v.real, v.imag))
     if config.out_format == "json":
         path = _out_path(config, "chi3.json")
         write_json(path, {"seed": config.seed, "samples": payload})

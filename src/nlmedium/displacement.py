@@ -12,38 +12,44 @@ every ordered triple of comb lines the two mixing channels contribute
 with ``L = alpha**4 * lambda0`` carrying one composite-response factor per
 slot, on top of the linear part ``D = eps0 E + g gamma E`` (``Gamma = gamma I``).
 
-The evaluation is split in two.  A plan depends only on the line
-frequencies and the tolerance: it enumerates the terms above, merges
-their output frequencies within tolerance into output lines and dresses
-each term's coupling once.  Its evaluation takes B amplitude sets of shape
-(B, n, 3) at once and gives (B, 3) per output line, with one ``einsum``
-per output line and channel over the line's terms and the batch index.
-``displacement`` is a plan
-evaluated with B = 1.  The finite-difference extractors build one plan
-per extraction, shared by both step sizes, and evaluate every probe
-amplitude of a step (27 x 64 phase-cycled probes for ``chi3``, 6 for
-``chi1``) as one batch, on the output line at the extracted frequency
-only.
+The arithmetic has one written definition, which ``displacement`` and the
+test suite's reference oracle each implement in their own code.  Every
+complex product is ``(p.re q.re - p.im q.im) + i (p.re q.im + p.im q.re)``:
+four real multiplies and two real adds, no complex ufunc, ``einsum`` or
+BLAS call, so no fused multiply-add can enter.  The g-component of a
+cubic term is the sum over its amplitude slots (a, n, m), in
+lexicographic order and from left to right, of ``t[slot] (x_a (y_n z_m))``,
+divided by 16, with ``t`` the term's ``L`` and ``x, y, z`` its three
+amplitudes (the conjugate included).  A linear term is ``eps0 a + gamma a``
+(``eps0 a`` when g = 0).  An output line is the ``math.fsum`` of its terms,
+per component and part.  Every step is one correctly rounded operation,
+so the bits follow from the dressed tensors and the amplitudes alone, on
+any host.
 
-Contributions to each output line are reduced with exact summation
-(``math.fsum``), so conjugate-closed inputs produce bitwise
-conjugate-closed outputs for real coupling tensors, independent of
-enumeration order.  A term evaluated in a batch equals the same term
-evaluated alone bit for bit, so a probe's result does not depend on its
-batch.
+The evaluation is split in two.  A plan depends only on the line
+frequencies and the tolerance: it enumerates the terms, merges their
+output frequencies within tolerance into output lines and dresses each
+frequency key's coupling once.  Its evaluation takes B amplitude sets
+(B, n, 3) at once and gives (B, 3) per output line; every term is
+computed element by element and each line is summed exactly, so a
+probe's result does not depend on its batch, and conjugate-closed inputs
+give bitwise conjugate-closed outputs for real couplings, whatever the
+enumeration order.  ``displacement`` is a plan evaluated with B = 1; the
+finite-difference extractors evaluate all probes of a step as one batch.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnergyConservationError, InputError, StepSizeError
+from .errors import InputError, StepSizeError
 from .medium import MediumParams, _gamma_scalar
-from .nonlinear import lambda0_tensor, validate_pairwise_symmetry
+from .nonlinear import _check_energy, lambda0_tensor, validate_pairwise_symmetry
 
 __all__ = [
     "FrequencyComb",
@@ -54,10 +60,9 @@ __all__ = [
 
 
 def _check_distinct(freqs, tol: float) -> None:
-    for i in range(len(freqs)):
-        for j in range(i + 1, len(freqs)):
-            if abs(freqs[i] - freqs[j]) <= tol:
-                raise InputError("comb frequencies must be pairwise distinct")
+    ordered = sorted(freqs)
+    if any(b - a <= tol for a, b in zip(ordered, ordered[1:])):
+        raise InputError("comb frequencies must be pairwise distinct")
 
 
 @dataclass(frozen=True)
@@ -112,31 +117,8 @@ class FrequencyComb:
         return np.zeros(3, dtype=complex)
 
     def is_conjugate_closed(self) -> bool:
-        for w, a in self.lines:
-            partner = None
-            for v, b in self.lines:
-                if abs(v + w) <= self.tolerance:
-                    partner = b
-                    break
-            if partner is None or not np.array_equal(partner, np.conj(a)):
-                return False
-        return True
-
-
-class _DressedCoupling:
-    """Caches the slot-dressed coupling tensors ``alpha**4 * lambda0``."""
-
-    def __init__(self, medium: MediumParams, lam: np.ndarray):
-        validate_pairwise_symmetry(np.asarray(lam), tol=1e-12)
-        self.medium = medium
-        self.lam = np.asarray(lam, dtype=complex)
-        self._dressed = {}
-
-    def dressed(self, w1: float, w2: float, w3: float, w4: float) -> np.ndarray:
-        key = (w1, w2, w3, w4)
-        if key not in self._dressed:
-            self._dressed[key] = self.medium.alpha**4 * lambda0_tensor(self.lam, self.medium, *key)
-        return self._dressed[key]
+        partners = [[b for v, b in self.lines if abs(v + w) <= self.tolerance] for w, _ in self.lines]
+        return all(p and np.array_equal(p[0], np.conj(a)) for p, (_, a) in zip(partners, self.lines))
 
 
 def _fsum(parts: np.ndarray) -> np.ndarray:
@@ -148,9 +130,38 @@ def _fsum(parts: np.ndarray) -> np.ndarray:
     return out.reshape(parts.shape[1:])
 
 
-# channel A: E E E*, output at wj + wk - wl; channel B: E E* E, output at wj - wk + wl.
-# T runs over one output line's terms of the channel, B over the amplitude sets.
-_CHANNELS = ("Tagnm,BTa,BTn,BTm->TBg", "Tabng,BTa,BTb,BTn->TBg")
+def _cmul(pr, pi, qr, qi):
+    """Complex product from real and imaginary parts: four multiplies, two adds."""
+    return pr * qr - pi * qi, pr * qi + pi * qr
+
+
+# the (27, 3, terms, sets) temporaries of the cubic terms stay below 2**14
+# elements (128 KiB): at twice that, the allocator maps and faults fresh
+# pages for every temporary, which doubles the time per term
+_PAIRS_PER_CHUNK = (1 << 14) // 81
+
+
+def _cubic_terms(tensors: np.ndarray, lines, amps, out: np.ndarray) -> None:
+    """Cubic terms of one channel, by the module's definition, into ``out`` (T, B, 3).
+
+    ``tensors`` (T, 27, 3) holds each term's ``L`` with the slots (a, n, m)
+    flattened in lexicographic order; term ``t`` fills slot i with line
+    ``lines[i][t]`` of ``amps[i]``, the real and imaginary parts of B
+    amplitude sets as two (n, 3, B) arrays.
+    """
+    n_terms, n_sets = out.shape[:2]
+    sets = min(n_sets, _PAIRS_PER_CHUNK)
+    step = _PAIRS_PER_CHUNK // sets
+    tr, ti = (v.transpose(1, 2, 0)[..., None] for v in (tensors.real, tensors.imag))
+    for t in (slice(i, i + step) for i in range(0, n_terms, step)):
+        for s in (slice(i, i + sets) for i in range(0, n_sets, sets)):
+            x, y, z = ([p[line[t], :, s].transpose(1, 0, 2) for p in parts] for parts, line in zip(amps, lines))
+            yz = [v.reshape(9, *v.shape[2:]) for v in _cmul(y[0][:, None], y[1][:, None], *z)]
+            xyz = [v.reshape(27, 1, *v.shape[2:]) for v in _cmul(x[0][:, None], x[1][:, None], *yz)]
+            pr, pi = _cmul(tr[:, :, t], ti[:, :, t], *xyz)
+            rows = out[t, s]  # the 27 slots added from left to right
+            rows.real = functools.reduce(np.add, pr).transpose(1, 2, 0) / 16.0
+            rows.imag = functools.reduce(np.add, pi).transpose(1, 2, 0) / 16.0
 
 
 class _CombPlan:
@@ -158,18 +169,20 @@ class _CombPlan:
 
     ``groups`` holds the output lines in ascending frequency order, each as
     ``(frequency, linear terms, (channel A terms, channel B terms))``.  A
-    linear term is ``(line, gamma)``, a channel term ``(dressed tensor, j,
-    k, l)`` with the lines that fill the channel's three amplitude slots.
-    Terms with the same frequency key share one tensor; ``evaluate`` stacks
-    a line's tensors only while it contracts them.
+    linear term is ``(line, gamma)``, a channel term ``(L, j, k, l)`` with
+    the lines that fill the channel's three amplitude slots.  Terms with
+    the same frequency key share one tensor; ``evaluate`` stacks a line's
+    tensors only while it contracts them.
     """
 
     def __init__(self, freqs, tolerance: float, medium: MediumParams, lam: np.ndarray):
-        coupling = _DressedCoupling(medium, lam)
+        validate_pairwise_symmetry(np.asarray(lam), tol=1e-12)
         _check_distinct(freqs, tolerance)
         self.medium = medium
         self.tolerance = tolerance
         contributions = {}  # fsum-canonical frequency -> (linear, channel A, channel B) terms
+        # frequency key -> alpha**4 * lambda0, dressed once per key
+        tensor = functools.cache(lambda *key: medium.alpha**4 * lambda0_tensor(lam, medium, *key))
 
         def terms(w_out: float):
             return contributions.setdefault(w_out, ([], [], []))
@@ -178,14 +191,14 @@ class _CombPlan:
             gam = _gamma_scalar(medium, float(w)) if medium.g else None
             terms(math.fsum((w,)))[0].append((i, gam))
 
-        if np.any(coupling.lam) and medium.g != 0:
+        if np.any(lam) and medium.g != 0:
             for j, wj in enumerate(freqs):
                 for k, wk in enumerate(freqs):
                     for l, wl in enumerate(freqs):
                         out_a = math.fsum((wj, wk, -wl))
-                        terms(out_a)[1].append((coupling.dressed(wj, out_a, wk, wl), j, k, l))
+                        terms(out_a)[1].append((tensor(wj, out_a, wk, wl), j, k, l))
                         out_b = math.fsum((wj, -wk, wl))
-                        terms(out_b)[2].append((coupling.dressed(wj, wk, wl, out_b), j, k, l))
+                        terms(out_b)[2].append((tensor(wj, wk, wl, out_b), j, k, l))
 
         # merge frequency keys that agree within tolerance; the representative
         # with the largest magnitude keeps mirrored clusters exactly opposite
@@ -204,19 +217,27 @@ class _CombPlan:
     def evaluate(self, index: int, amps: np.ndarray) -> np.ndarray:
         """Output line ``index`` for B amplitude sets ``amps`` of shape (B, n, 3); (B, 3)."""
         _, linear, channels = self.groups[index]
-        eps0, g = self.medium.eps0, self.medium.g
-        parts = []
-        for i, gam in linear:
-            vec = eps0 * amps[:, i]
-            if g:
-                vec = vec + g * (gam * amps[:, i])
-            parts.append(vec[None])
-        conj = np.conj(amps)
-        for subscripts, (x, y, z), terms in zip(_CHANNELS, ((amps, amps, conj), (amps, conj, amps)), channels):
+        eps0 = self.medium.eps0
+        parts = np.empty((len(linear) + sum(map(len, channels)), len(amps), 3), dtype=complex)
+        for row, (i, gam) in enumerate(linear):
+            a = amps[:, i]
+            re, im = eps0 * a.real, eps0 * a.imag
+            if gam is not None:
+                gr, gi = _cmul(gam.real, gam.imag, a.real, a.imag)
+                re, im = re + gr, im + gi
+            parts[row].real, parts[row].imag = re, im
+        row = len(linear)
+        ar, ai = (np.ascontiguousarray(v.transpose(1, 2, 0)) for v in (amps.real, amps.imag))
+        plain, conj = (ar, ai), (ar, -ai)
+        # channel A is L[a,g,n,m] E E E*, channel B is L[a,b,n,g] E E* E
+        layouts = (((0, 1, 3, 4, 2), (plain, plain, conj)), ((0, 1, 2, 3, 4), (plain, conj, plain)))
+        for (axes, slot_amps), terms in zip(layouts, channels):
             if terms:
-                tensors, j, k, l = map(np.array, zip(*terms))
-                parts.append(np.einsum(subscripts, tensors, x[:, j], y[:, k], z[:, l]) / 16.0)
-        return _fsum(np.concatenate(parts))
+                tensors, *lines = map(np.array, zip(*terms))
+                tensors = tensors.transpose(axes).reshape(len(terms), 27, 3)
+                _cubic_terms(tensors, lines, slot_amps, parts[row : row + len(terms)])
+                row += len(terms)
+        return _fsum(parts)
 
     def amplitude_at(self, omega: float, amps: np.ndarray) -> np.ndarray:
         """``FrequencyComb.amplitude_at(omega)`` of the output, for each amplitude set."""
@@ -243,6 +264,18 @@ def displacement(comb: FrequencyComb, medium: MediumParams, lam: np.ndarray) -> 
 _QUARTER_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
+def _richardson(derivative, h: float) -> np.ndarray:
+    """``(4 d(h/2) - d(h)) / 3`` for a finite difference ``d``, after both step checks."""
+    if not (1e-8 <= h <= 1e-2):
+        raise InputError("perturbation size must lie in [1e-8, 1e-2]")
+    coarse = derivative(h)
+    fine = derivative(h / 2.0)
+    scale = max(float(np.max(np.abs(fine))), 1e-300)
+    if float(np.max(np.abs(coarse - fine))) / scale > 1e-6:
+        raise StepSizeError("step too large")
+    return (4.0 * fine - coarse) / 3.0
+
+
 def extract_chi1_fd(medium: MediumParams, lam: np.ndarray, omega: float, h: float) -> np.ndarray:
     """Linear susceptibility from central differences of ``displacement``.
 
@@ -253,25 +286,17 @@ def extract_chi1_fd(medium: MediumParams, lam: np.ndarray, omega: float, h: floa
     ``StepSizeError`` when the two step sizes disagree by more than 1e-6
     relative (cubic contamination).
     """
-    if not (1e-8 <= h <= 1e-2):
-        raise InputError("perturbation size must lie in [1e-8, 1e-2]")
     plan = _CombPlan([float(omega)], 1e-9 * max(abs(omega), 1.0), medium, lam)
 
     def fd(step):
-        basis = np.zeros((3, 3), dtype=complex)
-        basis[np.diag_indices(3)] = step
+        basis = np.diag(np.full(3, step, dtype=complex))
         # probes +e_0, -e_0, +e_1, -e_1, +e_2, -e_2
         amps = np.stack([basis, -basis], axis=1).reshape(6, 1, 3)
         d_out = plan.amplitude_at(omega, amps).reshape(3, 2, 3)
         cols = (d_out[:, 0] - d_out[:, 1]) / (2.0 * step)
         return cols.T / medium.eps0 - np.eye(3)
 
-    coarse = fd(h)
-    fine = fd(h / 2.0)
-    scale = max(float(np.max(np.abs(fine))), 1e-300)
-    if float(np.max(np.abs(coarse - fine))) / scale > 1e-6:
-        raise StepSizeError("step too large")
-    return (4.0 * fine - coarse) / 3.0
+    return _richardson(fd, h)
 
 
 def _mixed_third_derivative(plan, positions, w, h):
@@ -286,10 +311,9 @@ def _mixed_third_derivative(plan, positions, w, h):
     """
     directions = list(itertools.product(range(3), repeat=3))
     phases = list(itertools.product(_QUARTER_PHASES, repeat=3))
-    eye = np.eye(3)
     amps = np.zeros((len(directions), len(phases), 3, 3), dtype=complex)
     for slot, pos in enumerate(positions):
-        rows = eye[[d[slot] for d in directions]]
+        rows = np.eye(3)[[d[slot] for d in directions]]
         steps = np.array([p[slot] * h for p in phases])
         amps[:, :, pos] = rows[:, None, :] * steps[None, :, None]
     d_out = plan.amplitude_at(w, amps.reshape(-1, 3, 3)).reshape(len(directions), len(phases), 3)
@@ -312,19 +336,9 @@ def extract_chi3_fd(medium: MediumParams, lam: np.ndarray, w, w1, w2, w3, h: flo
     evaluates them as one batch on the output line at w only; the result
     is bitwise that of one ``displacement`` call per probe comb.
     """
-    if not (1e-8 <= h <= 1e-2):
-        raise InputError("perturbation size must lie in [1e-8, 1e-2]")
-    scale = max(abs(w), abs(w1), abs(w2), abs(w3), 1e-300)
-    if abs(w - (w1 - w2 + w3)) > 1e-9 * scale:
-        raise EnergyConservationError("energy conservation violated")
+    _check_energy(w, w1, w2, w3)
     probe = (float(w1), float(w2), float(w3))
     order = sorted(range(3), key=lambda s: probe[s])  # the line order of a probe comb
     plan = _CombPlan([probe[s] for s in order], 1e-9 * max(abs(w), abs(w1), abs(w2), abs(w3), 1.0), medium, lam)
     positions = [order.index(s) for s in range(3)]
-    coarse = _mixed_third_derivative(plan, positions, w, h)
-    fine = _mixed_third_derivative(plan, positions, w, h / 2.0)
-    norm = max(float(np.max(np.abs(fine))), 1e-300)
-    if float(np.max(np.abs(coarse - fine))) / norm > 1e-6:
-        raise StepSizeError("step too large")
-    extrapolated = (4.0 * fine - coarse) / 3.0
-    return extrapolated / (4.0 * medium.eps0)
+    return _richardson(lambda step: _mixed_third_derivative(plan, positions, w, step), h) / (4.0 * medium.eps0)

@@ -30,7 +30,7 @@ from .errors import (
     ResonantHarmonicError,
     WindowAlignmentError,
 )
-from .medium import MediumParams, _gamma_scalar, _sigma_scalar
+from .medium import MediumParams, _gamma_scalar, _sigma_values
 
 __all__ = [
     "DuffingParams",
@@ -188,7 +188,8 @@ def duffing_from_medium(medium: MediumParams, lam: np.ndarray, drive_freq: float
     if medium.g == 0:
         raise InputError("oscillator mapping needs a medium (g = 1)")
     lam_scalar = float(np.real(np.asarray(lam)[0, 0, 0, 0]))
-    gamma = medium.eps0 * medium.chi_s * medium.omega0**3 * _sigma_scalar(medium, medium.omega0).imag
+    sigma0 = _sigma_values(medium, [medium.omega0])[0]
+    gamma = medium.eps0 * medium.chi_s * medium.omega0**3 * float(sigma0.imag)
     eta = -4.0 * lam_scalar * medium.eps0 * medium.omega0**2 * medium.chi_s / medium.g
     return DuffingParams(
         omega0=medium.omega0,

@@ -22,12 +22,14 @@ cases alike.
 Evaluation: one principal-value quadrature serves every caller.  It takes
 an array of positive frequencies, one quadrature row each, and runs them
 in chunks that keep every temporary at or below 2**15 elements.
-``chi1_spectrum`` evaluates a whole grid with one such call; the scalar
-entry points (``chi1``, ``gamma_response``, ``reservoir_kernel``) call it
-with one row and cache the result per (medium, frequency).  Negative
-frequencies are folded by complex conjugation, so Hermitian analyticity
-holds bitwise.  ``kk_reconstruct`` is a row-chunked matrix form of the
-Kramers-Kronig sum.
+``chi1_spectrum`` evaluates a whole grid with one such call.  gamma has
+one implementation, on arrays (``_gamma_values``); ``chi1``,
+``chi1_scalar`` and ``gamma_response`` read it at one frequency through
+one cache per (medium, frequency), and ``reservoir_kernel`` reads the
+kernel the same way, uncached, so scalar values equal array values
+bitwise.  Negative frequencies are folded by complex conjugation, so
+Hermitian analyticity holds bitwise.  ``kk_reconstruct`` is a row-chunked
+matrix form of the Kramers-Kronig sum.
 """
 
 from __future__ import annotations
@@ -447,22 +449,8 @@ def _kernel(params: MediumParams, w: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1 << 16)
-def _sigma_positive(params: MediumParams, omega: float) -> complex:
-    return complex(_kernel(params, np.asarray([omega]))[0])
-
-
-def _sigma_scalar(params: MediumParams, omega: float) -> complex:
-    """Scalar reservoir kernel; Hermitian analyticity is exact by folding."""
-    if omega < 0.0:
-        return np.conj(_sigma_scalar(params, -omega))
-    if omega == 0.0:
-        return 0.0 + 0.0j
-    return _sigma_positive(params, omega)
-
-
 def _sigma_values(params: MediumParams, omega) -> np.ndarray:
-    """Reservoir kernel on a frequency array, folded like ``_sigma_scalar``."""
+    """Reservoir kernel on a frequency array; Hermitian analyticity is exact by folding."""
     w = np.asarray(omega, dtype=float)
     a = np.abs(w)
     out = np.zeros(w.shape, dtype=complex)
@@ -471,37 +459,26 @@ def _sigma_values(params: MediumParams, omega) -> np.ndarray:
     return np.where(w < 0.0, out.conj(), out)
 
 
+def _isotropic(value: complex) -> np.ndarray:
+    """``value`` times the 3x3 identity, with the diagonal holding ``value`` exactly."""
+    return np.diag(np.full(3, value, dtype=complex))
+
+
 def reservoir_kernel(params: MediumParams, omega: float) -> np.ndarray:
     """Reservoir kernel sigma(omega) as an isotropic 3x3 complex matrix.
 
     ``Im sigma(w) >= 0`` for ``w > 0`` (passive prescription) and
-    ``sigma(-w) = conj(sigma(w))`` holds to machine precision.
+    ``sigma(-w) = conj(sigma(w))`` holds bitwise.
     """
-    return _sigma_scalar(params, float(omega)) * np.eye(3, dtype=complex)
-
-
-def _gamma_scalar(params: MediumParams, omega: float) -> complex:
-    if omega < 0.0:
-        return np.conj(_gamma_scalar(params, -omega))
-    if omega == 0.0:
-        # sigma(0) = 0 leaves the static limit, which is kept exact
-        return complex(params.eps0 * params.chi_s)
-    w0sq = params.omega0**2
-    sigma = _sigma_positive(params, omega)
-    den = w0sq - omega**2 - omega**2 * w0sq * params.eps0 * params.chi_s * sigma
-    if abs(den) < 1e-14:
-        raise ResponsePoleError("response pole hit")
-    return params.eps0 * w0sq * params.chi_s / den
+    return _isotropic(_sigma_values(params, np.asarray([float(omega)]))[0])
 
 
 def _gamma_values(params: MediumParams, omega) -> np.ndarray:
-    """``_gamma_scalar`` on a frequency array, with one kernel call.
+    """Composite response gamma on a frequency array, with one kernel call.
 
-    Values agree with ``_gamma_scalar`` to rounding, not bitwise: numpy's
-    complex arithmetic rounds differently from Python's.  ``_gamma_scalar``
-    stays in Python scalars because the per-frequency callers (the
-    dressed couplings, the comb displacement, the tree propagators) take
-    its bits, and the bitwise displacement oracle tests fix them.
+    The one implementation of gamma; scalar callers read it through the
+    cache of ``_gamma_scalar``.  The static limit ``gamma(0) = eps0 chi_s``
+    is exact, and negative frequencies are folded by conjugation.
     """
     w = np.asarray(omega, dtype=float)
     a = np.abs(w)
@@ -515,16 +492,20 @@ def _gamma_values(params: MediumParams, omega) -> np.ndarray:
     return np.where(w < 0.0, gamma.conj(), gamma)
 
 
+@lru_cache(maxsize=1 << 16)
+def _gamma_scalar(params: MediumParams, omega: float) -> complex:
+    """``_gamma_values`` at one frequency, cached per (medium, frequency)."""
+    return complex(_gamma_values(params, np.asarray([omega]))[0])
+
+
 def gamma_response(params: MediumParams, omega: float) -> np.ndarray:
     """Composite matter+reservoir response Gamma(omega), 3x3 complex."""
-    return _gamma_scalar(params, float(omega)) * np.eye(3, dtype=complex)
+    return _isotropic(_gamma_scalar(params, float(omega)))
 
 
 def chi1(params: MediumParams, omega: float) -> np.ndarray:
     """Linear susceptibility chi1(omega) = g * Gamma(omega) / eps0."""
-    if params.g == 0:
-        return np.zeros((3, 3), dtype=complex)
-    return gamma_response(params, omega) / params.eps0
+    return _isotropic(chi1_scalar(params, omega))
 
 
 def chi1_scalar(params: MediumParams, omega: float) -> complex:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnergyConservationError, InputError, MillerRatioError
-from .medium import MediumParams, _config_value, _reject_unknown_keys, chi1_scalar, gamma_response
+from .medium import MediumParams, _config_value, _gamma_scalar, _reject_unknown_keys, chi1_scalar
 
 __all__ = [
     "lambda_isotropic",
@@ -100,16 +100,16 @@ def _table_entries(entries) -> np.ndarray:
 def lambda0_tensor(lam: np.ndarray, medium: MediumParams, w1, w2, w3, w4) -> np.ndarray:
     """Quartic coupling dressed by four composite-response factors.
 
-    lambda0[a,b,m,n] = (g**4/4!) lam[r,s,x,g] G_ar(w1) G_bs(w2) G_mx(w3) G_ng(w4)
+    lambda0 = (g**4/4!) gamma(w1) gamma(w2) gamma(w3) gamma(w4) lam, the
+    isotropic (G = gamma I) form of
+    (g**4/4!) lam[r,s,x,g] G_ar(w1) G_bs(w2) G_mx(w3) G_ng(w4).
     """
     if medium.g == 0:
         return np.zeros((3, 3, 3, 3), dtype=complex)
-    g1 = gamma_response(medium, w1)
-    g2 = gamma_response(medium, w2)
-    g3 = gamma_response(medium, w3)
-    g4 = gamma_response(medium, w4)
-    out = np.einsum("rsxg,ar,bs,mx,ng->abmn", np.asarray(lam, dtype=complex), g1, g2, g3, g4)
-    return (medium.g**4 / _FACT4) * out
+    factor = medium.g**4 / _FACT4
+    for w in (w1, w2, w3, w4):
+        factor = factor * _gamma_scalar(medium, float(w))
+    return factor * np.asarray(lam, dtype=complex)
 
 
 @dataclass(frozen=True)

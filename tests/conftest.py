@@ -1,9 +1,11 @@
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from nlmedium.displacement import FrequencyComb, _DressedCoupling
+from nlmedium.displacement import FrequencyComb
 from nlmedium.errors import LoopConvergenceError, StepSizeError
 from nlmedium.fieldspace import PlaneWaveContext, SelfEnergyResult, photon_green, vertex
 from nlmedium.medium import (
@@ -11,7 +13,6 @@ from nlmedium.medium import (
     NuConstant,
     NuTabulated,
     NuZero,
-    _gamma_scalar,
     _static_nodes,
     chi1,
     gamma_response,
@@ -19,52 +20,66 @@ from nlmedium.medium import (
 from nlmedium.nonlinear import lambda0_tensor
 
 
+def _product(p, q):
+    """Complex product of (re, im) pairs: four real multiplies, two real adds."""
+    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+
+def _pair(z):
+    return (float(z.real), float(z.imag))
+
+
+def _naive_cubic_term(t, x, y, z):
+    """One term's 3-vector from t[a, n, m, g] and (re, im) amplitude pairs x, y, z."""
+    vec = []
+    for g in range(3):
+        acc = None
+        for a in range(3):
+            for n in range(3):
+                for m in range(3):
+                    p = _product(_pair(t[a, n, m, g]), _product(x[a], _product(y[n], z[m])))
+                    acc = p if acc is None else (acc[0] + p[0], acc[1] + p[1])
+        vec.append((acc[0] / 16.0, acc[1] / 16.0))
+    return vec
+
+
 def naive_displacement_line(comb, medium, lam, omega_out):
     """Second, independent constitutive-law implementation.
 
     Enumerates the two mixing channels with plain Python loops over
     ordered line triples, building every slot-dressed coupling tensor from
-    scratch, and reduces with math.fsum like the production path (the sum
-    is order-independent, so sharing the reduction does not share code
-    paths).
+    scratch, and evaluates every term in Python floats by the written
+    definition of the comb arithmetic (``nlmedium.displacement``): complex
+    products as four real multiplies and two adds, the 27 slots of a cubic
+    term added in lexicographic order, then divided by 16.  Lines are
+    reduced with math.fsum like the production path (the sum is exact, so
+    sharing the reduction does not share code paths).
     """
-    lines = list(comb.lines)
+    lines = [(w, [_pair(v) for v in a]) for w, a in comb.lines]
     parts = []
     for w, a in lines:
         if abs(w - omega_out) <= comb.tolerance:
-            parts.append(medium.eps0 * a + medium.g * (gamma_response(medium, w).T @ a))
+            vec = [(medium.eps0 * re, medium.eps0 * im) for re, im in a]
+            if medium.g:
+                gam = _pair(gamma_response(medium, w)[0, 0])
+                vec = [(e[0] + p[0], e[1] + p[1]) for e, p in zip(vec, (_product(gam, v) for v in a))]
+            parts.append(vec)
     for wj, aj in lines:
         for wk, ak in lines:
             for wl, al in lines:
                 out_a = math.fsum((wj, wk, -wl))
                 if abs(out_a - omega_out) <= comb.tolerance:
                     t = lambda0_tensor(lam, medium, wj, out_a, wk, wl) * medium.alpha**4
-                    vec = np.zeros(3, dtype=complex)
-                    for g in range(3):
-                        acc = 0.0 + 0.0j
-                        for x in range(3):
-                            for n in range(3):
-                                for m in range(3):
-                                    acc += t[x, g, n, m] * aj[x] * ak[n] * np.conj(al[m])
-                        vec[g] = acc
-                    parts.append(vec / 16.0)
+                    conj_l = [(re, -im) for re, im in al]
+                    parts.append(_naive_cubic_term(t.transpose(0, 2, 3, 1), aj, ak, conj_l))
                 out_b = math.fsum((wj, -wk, wl))
                 if abs(out_b - omega_out) <= comb.tolerance:
                     t = lambda0_tensor(lam, medium, wj, wk, wl, out_b) * medium.alpha**4
-                    vec = np.zeros(3, dtype=complex)
-                    for g in range(3):
-                        acc = 0.0 + 0.0j
-                        for x in range(3):
-                            for b in range(3):
-                                for n in range(3):
-                                    acc += t[x, b, n, g] * aj[x] * np.conj(ak[b]) * al[n]
-                        vec[g] = acc
-                    parts.append(vec / 16.0)
+                    conj_k = [(re, -im) for re, im in ak]
+                    parts.append(_naive_cubic_term(t, aj, conj_k, al))
     out = np.zeros(3, dtype=complex)
     for g in range(3):
-        out[g] = complex(
-            math.fsum(p[g].real for p in parts), math.fsum(p[g].imag for p in parts)
-        )
+        out[g] = complex(math.fsum(p[g][0] for p in parts), math.fsum(p[g][1] for p in parts))
     return out
 
 
@@ -75,37 +90,72 @@ def _fsum_vec(parts):
     return out
 
 
-def displacement_per_triple(comb, medium, lam, engine=None):
-    """Reference comb displacement: two ``einsum`` calls per ordered line triple.
+def cubic_terms_by_definition(tensors, x, y, z):
+    """Cubic comb terms by the written definition, for a stack of T terms.
 
-    The unbatched form of ``displacement``: one amplitude set, terms keyed
-    by their fsum output frequency in a dict, keys merged within tolerance
-    with the largest-magnitude representative, one ``math.fsum`` per
-    component of each output line.  ``engine``, a ``_DressedCoupling``,
-    lets the per-probe extractors below share dressed tensors across calls.
+    ``tensors`` (T, 3, 3, 3, 3) has the amplitude slots (a, n, m) first and
+    the output component last; ``x``, ``y``, ``z`` (T, 3) fill the slots.
+    Every complex product is four real multiplies and two adds, and the 27
+    slots are added one after another in lexicographic order (the last
+    running sum of ``np.add.accumulate``).  Returns (T, 3).
     """
-    engine = engine if engine is not None else _DressedCoupling(medium, lam)
+
+    def mul(p, q):
+        return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+    yz = mul((y.real[:, :, None], y.imag[:, :, None]), (z.real[:, None, :], z.imag[:, None, :]))
+    xyz = mul((x.real[:, :, None, None], x.imag[:, :, None, None]), (yz[0][:, None], yz[1][:, None]))
+    pr, pi = mul((tensors.real, tensors.imag), (xyz[0][..., None], xyz[1][..., None]))
+    out = np.empty((len(tensors), 3), dtype=complex)
+    out.real, out.imag = (np.add.accumulate(p.reshape(len(tensors), 27, 3), axis=1)[:, -1] / 16.0 for p in (pr, pi))
+    return out
+
+
+def dressing(medium, lam):
+    """``alpha**4 * lambda0_tensor`` per frequency key, each key dressed once."""
+
+    @functools.cache
+    def dressed(*key):
+        return medium.alpha**4 * lambda0_tensor(lam, medium, *key)
+
+    return dressed
+
+
+def displacement_per_triple(comb, medium, lam, dressed=None):
+    """Reference comb displacement for one amplitude set, term by term.
+
+    The unbatched form of ``displacement``: the terms of each ordered line
+    triple evaluated by the written definition, keyed by their fsum output
+    frequency in a dict, keys merged within tolerance with the
+    largest-magnitude representative, one ``math.fsum`` per component of
+    each output line.  ``dressed`` (see ``dressing``) lets the per-probe
+    extractors below share dressed tensors across calls.
+    """
+    dressed = dressed if dressed is not None else dressing(medium, lam)
     contributions = {}
 
     def add(w_out, vec):
         contributions.setdefault(w_out, []).append(vec)
 
     for w, a in comb.lines:
-        linear = medium.eps0 * a
+        linear = np.empty(3, dtype=complex)
+        linear.real, linear.imag = medium.eps0 * a.real, medium.eps0 * a.imag
         if medium.g:
-            linear = linear + medium.g * (_gamma_scalar(medium, float(w)) * a)
+            gam = gamma_response(medium, float(w))[0, 0]
+            linear.real += gam.real * a.real - gam.imag * a.imag
+            linear.imag += gam.real * a.imag + gam.imag * a.real
         add(math.fsum((w,)), linear)
-    lines = comb.lines
     if bool(np.any(np.asarray(lam))) and medium.g != 0:
-        for wj, aj in lines:
-            for wk, ak in lines:
-                for wl, al in lines:
-                    out_a = math.fsum((wj, wk, -wl))
-                    t_a = engine.dressed(wj, out_a, wk, wl)
-                    add(out_a, np.einsum("agnm,a,n,m->g", t_a, aj, ak, np.conj(al)) / 16.0)
-                    out_b = math.fsum((wj, -wk, wl))
-                    t_b = engine.dressed(wj, wk, wl, out_b)
-                    add(out_b, np.einsum("abng,a,b,n->g", t_b, aj, np.conj(ak), al) / 16.0)
+        triples = list(itertools.product(comb.lines, repeat=3))
+        keys_a = [(wj, math.fsum((wj, wk, -wl)), wk, wl) for (wj, _), (wk, _), (wl, _) in triples]
+        keys_b = [(wj, wk, wl, math.fsum((wj, -wk, wl))) for (wj, _), (wk, _), (wl, _) in triples]
+        aj, ak, al = (np.array([t[s][1] for t in triples]) for s in range(3))
+        tensors_a = np.array([dressed(*key).transpose(0, 2, 3, 1) for key in keys_a])
+        tensors_b = np.array([dressed(*key) for key in keys_b])
+        for key, vec in zip(keys_a, cubic_terms_by_definition(tensors_a, aj, ak, np.conj(al))):
+            add(key[1], vec)
+        for key, vec in zip(keys_b, cubic_terms_by_definition(tensors_b, aj, np.conj(ak), al)):
+            add(key[3], vec)
     keys = sorted(contributions)
     merged = [[keys[0]]]
     for w in keys[1:]:
@@ -125,15 +175,15 @@ def _probe_comb(freqs, amps, tol):
 def extract_chi1_fd_per_probe(medium, lam, omega, h):
     """Reference ``extract_chi1_fd``: one ``displacement_per_triple`` call per probe."""
     tol = 1e-9 * max(abs(omega), 1.0)
-    engine = _DressedCoupling(medium, lam)
+    dressed = dressing(medium, lam)
 
     def fd(step):
         cols = []
         for b in range(3):
             e = np.zeros(3, dtype=complex)
             e[b] = step
-            plus = displacement_per_triple(_probe_comb([omega], [e], tol), medium, lam, engine).amplitude_at(omega)
-            minus = displacement_per_triple(_probe_comb([omega], [-e], tol), medium, lam, engine).amplitude_at(omega)
+            plus = displacement_per_triple(_probe_comb([omega], [e], tol), medium, lam, dressed).amplitude_at(omega)
+            minus = displacement_per_triple(_probe_comb([omega], [-e], tol), medium, lam, dressed).amplitude_at(omega)
             cols.append((plus - minus) / (2.0 * step))
         return np.stack(cols, axis=1) / medium.eps0 - np.eye(3)
 
@@ -151,7 +201,7 @@ _QUARTER_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 def mixed_third_derivative_per_probe(medium, lam, w, w1, w2, w3, h):
     """Reference phase-cycled mixed derivative: 27 x 64 probe combs, one at a time."""
     tol = 1e-9 * max(abs(w), abs(w1), abs(w2), abs(w3), 1.0)
-    engine = _DressedCoupling(medium, lam)
+    dressed = dressing(medium, lam)
     deriv = np.zeros((3, 3, 3, 3), dtype=complex)
     for b in range(3):
         for m in range(3):
@@ -162,7 +212,7 @@ def mixed_third_derivative_per_probe(medium, lam, w, w1, w2, w3, h):
                         for p3 in _QUARTER_PHASES:
                             amps = [np.eye(3)[b] * (p1 * h), np.eye(3)[m] * (p2 * h), np.eye(3)[n] * (p3 * h)]
                             comb = _probe_comb([w1, w2, w3], amps, tol)
-                            d_out = displacement_per_triple(comb, medium, lam, engine).amplitude_at(w)
+                            d_out = displacement_per_triple(comb, medium, lam, dressed).amplitude_at(w)
                             acc.append(np.conj(p1) * p2 * np.conj(p3) * d_out)
                 deriv[:, b, m, n] = _fsum_vec(acc) / (64.0 * h**3)
     return deriv

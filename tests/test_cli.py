@@ -320,6 +320,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert repr(section) in err and repr(key) in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("format", "JSON"), ("format", 3), ("dir", 5)],
+        ids=["format-upper-case", "format-number", "dir-number"],
+    )
+    def test_bad_outputs_value(self, config_path, tmp_path, capsys, key, value):
+        cfg = read_json(config_path)
+        cfg["outputs"][key] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "chi1"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert repr("outputs") in err and repr(key) in err
+
     def test_bad_omega_grid_flag(self, config_path, capsys):
         assert main(["--config", config_path, "propagators", "--omega-grid", "0:1:x"]) == EXIT_VALIDATION
         assert "--omega-grid" in capsys.readouterr().err

@@ -6,14 +6,13 @@ import pytest
 from conftest import extract_chi1_fd_per_probe, extract_chi3_fd_per_probe
 from nlmedium.displacement import (
     FrequencyComb,
-    _DressedCoupling,
     displacement,
     extract_chi1_fd,
     extract_chi3_fd,
 )
 from nlmedium.errors import EnergyConservationError, InputError, StepSizeError
 from nlmedium.medium import MediumParams, NuConstant, chi1
-from nlmedium.nonlinear import chi3, lambda0_tensor, lambda_isotropic
+from nlmedium.nonlinear import chi3, lambda_isotropic
 
 
 class TestComb:
@@ -33,18 +32,6 @@ class TestComb:
     def test_zero_frequency_must_be_real(self):
         with pytest.raises(InputError, match="real amplitude"):
             FrequencyComb.from_lines([(0.0, [1.0j, 0, 0])])
-
-
-def test_dressed_coupling_is_scaled_lambda0():
-    medium = MediumParams(
-        omega0=1.0, chi_s=1.0, alpha=0.37, rho=0.2, nu=NuConstant(0.1, 10.0), loop_cutoff=30.0
-    )
-    lam = lambda_isotropic(0.3, 0.2, 0.1)
-    engine = _DressedCoupling(medium, lam)
-    for key in ((0.9, 0.5, 1.7, 1.3), (-0.4, 0.9, 0.9, -0.4)):
-        want = medium.alpha**4 * lambda0_tensor(lam, medium, *key)
-        assert np.array_equal(engine.dressed(*key), want)
-        assert np.array_equal(engine.dressed(*key), want)  # cached
 
 
 class TestDisplacement:
@@ -88,6 +75,20 @@ class TestDisplacement:
         ref = naive_line_oracle(comb, lossy, lam, fwm)
         assert np.array_equal(got, ref)
         assert np.any(got != 0.0)
+
+    def test_every_line_matches_oracle_for_general_coupling(self, naive_line_oracle):
+        # complex pair-symmetric coupling without structure, complex
+        # amplitudes on every component, alpha != 1/2 and eps0 != 1
+        medium = MediumParams(
+            omega0=1.0, chi_s=1.0, alpha=0.37, rho=0.2, nu=NuConstant(0.1, 10.0), eps0=1.3, loop_cutoff=30.0
+        )
+        lam = _anisotropic_coupling()
+        rng = np.random.default_rng(7)
+        for freqs in ((0.9,), (0.9, 1.7), (0.4, 0.9, 1.7)):
+            comb = FrequencyComb.from_lines([(w, rng.normal(size=3) + 1j * rng.normal(size=3)) for w in freqs])
+            out = displacement(comb, medium, lam)
+            for w, got in out.lines:
+                assert got.tobytes() == naive_line_oracle(comb, medium, lam, w).tobytes()
 
     def test_conjugate_closure_exact(self, lossy):
         lam = lambda_isotropic(0.3, 0.2, 0.1)

@@ -20,12 +20,14 @@ from nlmedium.medium import (
     MediumParams,
     NuConstant,
     NuTabulated,
-    _gamma_scalar,
-    _sigma_scalar,
+    _gamma_values,
     _sigma_values,
     _static_nodes,
+    chi1_scalar,
     chi1_spectrum,
+    gamma_response,
     kk_reconstruct,
+    reservoir_kernel,
 )
 from nlmedium.nonlinear import chi3, miller_ratio
 
@@ -79,9 +81,26 @@ def media_and_grids(draw):
 def test_batched_sigma_equals_one_row_path(case):
     medium, grid = case
     batched = _sigma_values(medium, grid)
-    one_row = np.asarray([_sigma_scalar(medium, float(w)) for w in grid])
+    one_row = np.asarray([reservoir_kernel(medium, w)[0, 0] for w in grid])
     assert np.all(np.abs(batched - one_row) <= 1e-14 * np.abs(one_row))
     assert np.all(batched[grid == 0.0] == 0.0)
+
+
+@SETTINGS
+@given(media_and_grids())
+def test_scalar_entry_points_read_the_array_path(case):
+    # the grid holds 0 (static limit) and frequencies of both signs (folding)
+    medium, grid = case
+    for w in grid:
+        one = np.asarray([w])
+        try:
+            gamma = _gamma_values(medium, one)[0]
+            scalar = gamma_response(medium, w)[0, 0]
+        except ResponsePoleError:
+            reject()
+        assert scalar.tobytes() == gamma.tobytes()
+        assert np.complex128(chi1_scalar(medium, w)).tobytes() == (gamma / medium.eps0).tobytes()
+        assert reservoir_kernel(medium, w)[0, 0].tobytes() == _sigma_values(medium, one)[0].tobytes()
 
 
 @SETTINGS
@@ -91,7 +110,7 @@ def test_sigma_hermitian_analyticity_is_bitwise(case):
     plus = _sigma_values(medium, grid)
     assert np.array_equal(_sigma_values(medium, -grid), np.conj(plus))
     for w in grid[:6]:
-        assert _sigma_scalar(medium, -float(w)) == np.conj(_sigma_scalar(medium, float(w)))
+        assert reservoir_kernel(medium, -w)[0, 0] == np.conj(reservoir_kernel(medium, w)[0, 0])
 
 
 @SETTINGS
@@ -217,15 +236,6 @@ def test_comb_closure(case):
     for (w, a), (v, b) in zip(out.lines, permuted.lines):
         assert np.float64(w).tobytes() == np.float64(v).tobytes() and a.tobytes() == b.tobytes()
 
-    # The naive oracle sums each term's 27 products in another order than the
-    # einsum, so the two agree to rounding, not bitwise, for general couplings.
-    # Bound: 64 ulp of the summed magnitudes, with |lambda0| <= |lam| gamma^4 / 4!
-    # and every term of one line counted at its largest size.
+    # both sides follow the written definition of the comb arithmetic
     w, got = out.lines[pick % len(out.lines)]
-    ref = naive_displacement_line(comb, medium, lam, w)
-    n = len(comb.lines)
-    gam = max(abs(_gamma_scalar(medium, float(v))) for v, _ in comb.lines + out.lines)
-    amp = max(float(np.sum(np.abs(a))) for _, a in comb.lines)
-    linear = n * (medium.eps0 + gam) * amp
-    cubic = 2 * n**3 * medium.alpha**4 * float(np.max(np.abs(lam))) * gam**4 / 24.0 * amp**3 / 16.0
-    assert np.all(np.abs(got - ref) <= 64 * np.finfo(float).eps * (linear + cubic))
+    assert got.tobytes() == naive_displacement_line(comb, medium, lam, w).tobytes()
