@@ -13,6 +13,11 @@ exp(+i n wd t); the drive is F0 cos(wd t)).  ``compare_chi3`` maps the
 medium and coupling onto oscillator constants, runs a geometric drive
 ladder, and reports the cubic-scaling exponent plus the measured ratio
 against both the harmonic-balance reference and the comb-path prediction.
+
+The ladder does not wait for transients to decay.  Each rung's steady
+state is the fixed point of the one-period RK4 map, found by shooting
+(``_periodic_orbit``), and its harmonics and energy balance are read over
+that one period.  ``simulate`` and the period map share one RK4 core.
 """
 
 from __future__ import annotations
@@ -65,7 +70,11 @@ class DuffingParams:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Steady-state window samples (last quarter of the integration)."""
+    """Samples of an integration window.
+
+    The last quarter of a ``simulate`` run, or the one drive period from
+    t = 0 of a periodic orbit (``compare_chi3``).
+    """
 
     t: np.ndarray
     x: np.ndarray
@@ -82,17 +91,13 @@ class HarmonicSpectrum:
         return self.amplitudes[n]
 
 
-def simulate(params: DuffingParams, t_end: float, dt: float, x0: float = 0.0, v0: float = 0.0) -> Trajectory:
-    """Fixed-step RK4 integration; returns the final 25% of the run.
+def _rk4(params: DuffingParams, dt: float, n_steps: int, x: float, v: float, keep_from: int) -> Trajectory:
+    """The one fixed-step RK4 core: ``n_steps`` steps of ``dt`` from t = 0.
 
-    The step must resolve both the resonance and the drive
-    (dt < 0.05 / max(omega0, wd)); the amplitude guard aborts when |x|
-    exceeds 1e6 * F0 / omega0**2 (skipped for an undriven oscillator).
+    Returns the samples from step ``keep_from`` on, the final state
+    included.  The amplitude guard aborts when |x| exceeds
+    1e6 * F0 / omega0**2 (skipped for an undriven oscillator).
     """
-    if dt >= 0.05 / max(params.omega0, params.drive_freq):
-        raise InputError("time step too large for the fastest scale")
-    if t_end <= 0:
-        raise InputError("t_end must be positive")
     w0sq = params.omega0**2
     gam = params.gamma_damp
     eta = params.eta
@@ -103,10 +108,8 @@ def simulate(params: DuffingParams, t_end: float, dt: float, x0: float = 0.0, v0
     def acc(t, x, v):
         return f0 * math.cos(wd * t) - gam * v - w0sq * x - eta * x**3
 
-    n_steps = int(round(t_end / dt))
-    keep_from = int(0.75 * n_steps)
     ts, xs, vs = [], [], []
-    t, x, v = 0.0, x0, v0
+    t = 0.0
     for step in range(n_steps + 1):
         if step >= keep_from:
             ts.append(t)
@@ -128,6 +131,65 @@ def simulate(params: DuffingParams, t_end: float, dt: float, x0: float = 0.0, v0
         if abs(x) > guard:
             raise DivergenceError("driven beyond perturbative regime")
     return Trajectory(t=np.asarray(ts), x=np.asarray(xs), v=np.asarray(vs))
+
+
+def simulate(params: DuffingParams, t_end: float, dt: float, x0: float = 0.0, v0: float = 0.0) -> Trajectory:
+    """Fixed-step RK4 integration; returns the final 25% of the run.
+
+    The step must resolve both the resonance and the drive
+    (dt < 0.05 / max(omega0, wd)); the amplitude guard aborts when |x|
+    exceeds 1e6 * F0 / omega0**2 (skipped for an undriven oscillator).
+    """
+    if dt >= 0.05 / max(params.omega0, params.drive_freq):
+        raise InputError("time step too large for the fastest scale")
+    if t_end <= 0:
+        raise InputError("t_end must be positive")
+    n_steps = int(round(t_end / dt))
+    return _rk4(params, dt, n_steps, x0, v0, int(0.75 * n_steps))
+
+
+def _periodic_orbit(params: DuffingParams, spp: int, z0) -> Trajectory:
+    """Periodic steady state, by shooting on the one-period RK4 map P.
+
+    The orbit is the fixed point of P(z), z = (x, v) at t = 0, integrated
+    over one drive period in ``spp`` steps (Nayfeh & Balachandran,
+    *Applied Nonlinear Dynamics*, 1995).  Chord-Newton steps
+    z <- z - B^-1 (P(z) - z) start from B = J - I, with the 2x2 Jacobian
+    J of P taken once, by forward differences at the start ``z0``.  After
+    each step B takes Broyden's rank-one update, which costs no
+    integration and keeps strongly nonlinear rungs from stalling on a
+    stale J.  The steps stop when max|P(z) - z| <= 1e-13 max|x| over the
+    period.  Returns the samples of that last period; raises
+    ``RegimeError`` after 12 steps without convergence.
+    """
+    wd = params.drive_freq
+    dt = 2.0 * math.pi / wd / spp
+
+    def period_map(z):
+        orbit = _rk4(params, dt, spp, z[0], z[1], 0)
+        return orbit, np.array([orbit.x[-1], orbit.v[-1]])
+
+    z = np.array(z0, dtype=float)
+    chord = None
+    for _ in range(13):  # the start and 12 chord steps
+        orbit, end = period_map(z)
+        res = end - z
+        if np.max(np.abs(res)) <= 1e-13 * np.max(np.abs(orbit.x)):
+            return orbit
+        if chord is None:
+            # difference steps in x and v scaled to the orbit (v ~ wd x)
+            h = 1e-6 * max(abs(z[0]), abs(z[1]) / wd, params.drive_amp / params.omega0**2)
+            chord = -np.eye(2)
+            for col, dz in enumerate((h, h * wd)):
+                shifted = z.copy()
+                shifted[col] += dz
+                chord[:, col] += (period_map(shifted)[1] - end) / dz
+        else:
+            # Broyden: B += (dF - B s) s^T / s.s, and B s = -F at the last z
+            chord += np.outer(res, step) / (step @ step)
+        step = -np.linalg.solve(chord, res)
+        z = z + step
+    raise RegimeError("periodic orbit did not converge")
 
 
 def _trim_to_periods(t: np.ndarray, omega_d: float):
@@ -266,21 +328,20 @@ def _displacement_thg_ratio(medium: MediumParams, lam: np.ndarray, wd: float) ->
     return complex(np.conj(x_ratio) * 192.0 / (alpha**2 * g**6))
 
 
-def compare_chi3(
+def _drive_ladder(
     medium: MediumParams,
     lam: np.ndarray,
     drive_freq: float,
-    ladder: int = 5,
-    base_amp: float | None = None,
-    samples_per_period: int = 160,
-) -> CompareReport:
-    """Drive-amplitude ladder: cubic scaling and ratio cross-checks.
+    ladder: int,
+    base_amp: float | None,
+    samples_per_period: int,
+) -> tuple:
+    """Oscillator constants and the periodic orbit of every ladder rung.
 
-    Runs ``ladder`` simulations with drive amplitudes doubling from
-    ``base_amp``, fits log|A3| against log|A1|, and compares the measured
-    A3/A1**3 with the harmonic-balance reference and the comb-path
-    prediction.  Raises ``RegimeError`` when the fit quality drops below
-    R**2 = 0.999 (drive too strong or too weak for clean cubic scaling).
+    Rung j is driven at ``base_amp * 2**j``.  Rung 0 starts its shooting
+    solve from the linear response A = F0 / (omega0**2 - wd**2 + i gamma wd),
+    x = Re(A exp(i wd t)); each later rung from the previous orbit doubled.
+    Returns ``(params0, [(params, orbit), ...])``.
     """
     if ladder < 3:
         raise InputError("ladder needs at least 3 drive amplitudes")
@@ -298,33 +359,51 @@ def compare_chi3(
     period = 2.0 * math.pi / wd
     # integer samples per period, dense enough for the fastest scale
     spp = max(samples_per_period, int(math.ceil(period * max(params0.omega0, wd) / 0.04)))
-    dt = period / spp
-    # long enough that the transient is negligible inside the kept window
-    t_end = max(30.0 / gamma, 60.0 * period)
-    t_end = (int(round(t_end / period)) + 1) * period
-
-    a1s, a3s, ratios = [], [], []
-    energy_err = None
+    lin = base_amp / (params0.omega0**2 - wd**2 + 1j * gamma * wd)
+    z = (lin.real, -wd * lin.imag)
+    rungs = []
     for j in range(ladder):
-        amp = base_amp * 2.0**j
         params = DuffingParams(
             omega0=params0.omega0,
             gamma_damp=gamma,
             eta=params0.eta,
-            drive_amp=amp,
+            drive_amp=base_amp * 2.0**j,
             drive_freq=wd,
             coupling=params0.coupling,
         )
-        traj = simulate(params, t_end, dt)
-        spec = harmonic_amplitudes(traj, wd, 3)
-        a1s.append(spec[1])
-        a3s.append(spec[3])
-        ratios.append(spec[3] / spec[1] ** 3)
-        if j == ladder // 2:
-            energy_err = _energy_balance(traj, params)
+        orbit = _periodic_orbit(params, spp, z)
+        rungs.append((params, orbit))
+        z = (2.0 * orbit.x[0], 2.0 * orbit.v[0])
+    return params0, rungs
 
-    logs1 = np.log(np.abs(np.asarray(a1s)))
-    logs3 = np.log(np.abs(np.asarray(a3s)))
+
+def compare_chi3(
+    medium: MediumParams,
+    lam: np.ndarray,
+    drive_freq: float,
+    ladder: int = 5,
+    base_amp: float | None = None,
+    samples_per_period: int = 160,
+) -> CompareReport:
+    """Drive-amplitude ladder: cubic scaling and ratio cross-checks.
+
+    Solves for the periodic steady state of ``ladder`` drives whose
+    amplitudes double from ``base_amp`` (shooting on the one-period map,
+    no transient to wait out), fits log|A3| against log|A1| over one
+    period of each orbit, and compares the measured A3/A1**3 of the middle
+    rung with the harmonic-balance reference and the comb-path prediction.
+    ``energy_balance_error`` is the largest over all rungs.  Raises
+    ``RegimeError`` when an orbit does not converge, or when the fit
+    quality drops below R**2 = 0.999 (drive too strong or too weak for
+    clean cubic scaling).
+    """
+    params0, rungs = _drive_ladder(medium, lam, drive_freq, ladder, base_amp, samples_per_period)
+    wd = params0.drive_freq
+    spectra = [harmonic_amplitudes(orbit, wd, 3) for _, orbit in rungs]
+    energy_err = max(_energy_balance(orbit, params) for params, orbit in rungs)
+
+    logs1 = np.log(np.abs([spec[1] for spec in spectra]))
+    logs3 = np.log(np.abs([spec[3] for spec in spectra]))
     slope, intercept = np.polyfit(logs1, logs3, 1)
     fitted = slope * logs1 + intercept
     ss_res = float(np.sum((logs3 - fitted) ** 2))
@@ -333,7 +412,8 @@ def compare_chi3(
     if r_squared < 0.999:
         raise RegimeError("not in perturbative regime")
 
-    measured = complex(ratios[ladder // 2])
+    middle = spectra[len(spectra) // 2]
+    measured = middle[3] / middle[1] ** 3
     reference = perturbative_reference(params0)
     disp_pred = _displacement_thg_ratio(medium, lam, wd)
     return CompareReport(

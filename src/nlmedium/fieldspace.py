@@ -104,15 +104,21 @@ class MeanField:
         object.__setattr__(self, "m_prime", mp)
 
 
+def _kernel_terms(medium: MediumParams, ctx: PlaneWaveContext) -> list:
+    """The terms of K_tot(w, k): vacuum, transverse and, inside a medium, matter."""
+    w = ctx.omega
+    terms = [
+        medium.eps0 * w**2 * np.eye(3, dtype=complex),
+        -(ctx.k**2 / medium.mu0) * transverse_projector(ctx.k),
+    ]
+    if medium.g:
+        terms.append(-(medium.g * w**2 * medium.alpha**2 * _gamma_scalar(medium, float(w)) * np.eye(3)))
+    return terms
+
+
 def total_kernel(medium: MediumParams, ctx: PlaneWaveContext) -> np.ndarray:
     """Quadratic photon kernel K_tot(w, k), 3x3 complex."""
-    w = ctx.omega
-    pt = transverse_projector(ctx.k)
-    kernel = medium.eps0 * w**2 * np.eye(3, dtype=complex)
-    kernel -= (ctx.k**2 / medium.mu0) * pt
-    if medium.g:
-        kernel -= medium.g * w**2 * medium.alpha**2 * _gamma_scalar(medium, float(w)) * np.eye(3)
-    return kernel
+    return sum(_kernel_terms(medium, ctx))
 
 
 def photon_green(medium: MediumParams, ctx: PlaneWaveContext) -> np.ndarray:
@@ -120,21 +126,29 @@ def photon_green(medium: MediumParams, ctx: PlaneWaveContext) -> np.ndarray:
 
     For k > 0 the longitudinal row/column of the result is zero; at k = 0
     the full 3x3 kernel is inverted.  Raises ``PropagatorPoleError`` when
-    the restricted kernel is singular (undamped on-shell mode).
+    the restricted kernel is singular (undamped on-shell mode), that is
+    when its terms cancel so far that |det| <= 1e-14 times the product of
+    the row norms of the summed term magnitudes.  The test is scale-free:
+    a kernel that is small only because w and k are (w**2 eps(w) I near
+    w = 0) is not a pole.
     """
-    kernel = total_kernel(medium, ctx)
+    terms = _kernel_terms(medium, ctx)
+    kernel = sum(terms)
+    scale = sum(np.abs(term) for term in terms)
     if ctx.k == 0.0:
-        det = np.linalg.det(kernel)
-        if abs(det) < 1e-14:
-            raise PropagatorPoleError("propagator pole")
+        _check_regular(kernel, scale)
         return np.linalg.inv(kernel)
     sub = kernel[:2, :2]
-    det = np.linalg.det(sub)
-    if abs(det) < 1e-14:
-        raise PropagatorPoleError("propagator pole")
+    _check_regular(sub, scale[:2, :2])
     out = np.zeros((3, 3), dtype=complex)
     out[:2, :2] = np.linalg.inv(sub)
     return out
+
+
+def _check_regular(matrix: np.ndarray, scale: np.ndarray) -> None:
+    bound = float(np.prod(np.linalg.norm(scale, axis=1)))
+    if abs(np.linalg.det(matrix)) <= 1e-14 * bound:
+        raise PropagatorPoleError("propagator pole")
 
 
 def total_source(medium: MediumParams, j_src, f_src, omega: float) -> np.ndarray:

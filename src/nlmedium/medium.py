@@ -25,7 +25,7 @@ in chunks that keep every temporary at or below 2**15 elements.
 ``chi1_spectrum`` evaluates a whole grid with one such call.  gamma has
 one implementation, on arrays (``_gamma_values``); ``chi1``,
 ``chi1_scalar`` and ``gamma_response`` read it at one frequency through
-one cache per (medium, frequency), and ``reservoir_kernel`` reads the
+one cache per (medium, |frequency|), and ``reservoir_kernel`` reads the
 kernel the same way, uncached, so scalar values equal array values
 bitwise.  Negative frequencies are folded by complex conjugation, so
 Hermitian analyticity holds bitwise.  ``kk_reconstruct`` is a row-chunked
@@ -493,9 +493,19 @@ def _gamma_values(params: MediumParams, omega) -> np.ndarray:
 
 
 @lru_cache(maxsize=1 << 16)
-def _gamma_scalar(params: MediumParams, omega: float) -> complex:
-    """``_gamma_values`` at one frequency, cached per (medium, frequency)."""
+def _gamma_magnitude(params: MediumParams, omega: float) -> complex:
+    """``_gamma_values`` at one frequency omega >= 0, cached per (medium, frequency)."""
     return complex(_gamma_values(params, np.asarray([omega]))[0])
+
+
+def _gamma_scalar(params: MediumParams, omega: float) -> complex:
+    """``_gamma_values`` at one frequency, bitwise.
+
+    The cache holds |omega|; omega < 0 is conjugated, the fold that
+    ``_gamma_values`` applies, so both signs share one entry.
+    """
+    value = _gamma_magnitude(params, abs(omega))
+    return value.conjugate() if omega < 0.0 else value
 
 
 def gamma_response(params: MediumParams, omega: float) -> np.ndarray:

@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 from nlmedium.displacement import FrequencyComb
-from nlmedium.errors import LoopConvergenceError, StepSizeError
+from nlmedium.duffing import (
+    CompareReport,
+    DuffingParams,
+    _displacement_thg_ratio,
+    _energy_balance,
+    duffing_from_medium,
+    harmonic_amplitudes,
+    perturbative_reference,
+    simulate,
+)
+from nlmedium.errors import InputError, LoopConvergenceError, RegimeError, StepSizeError
 from nlmedium.fieldspace import PlaneWaveContext, SelfEnergyResult, photon_green, vertex
 from nlmedium.medium import (
     MediumParams,
@@ -363,6 +373,97 @@ def self_energy_per_node(medium, lam, omega, quadrature):
     if scale > 0.0 and disc > 0.1 * scale:
         raise LoopConvergenceError("loop integral not converged at this cutoff")
     return SelfEnergyResult(value=full, error_estimate=disc + tail, discretization_error=disc, tail_error=tail)
+
+
+def compare_chi3_long_run(
+    medium: MediumParams,
+    lam: np.ndarray,
+    drive_freq: float,
+    ladder: int = 5,
+    base_amp: float | None = None,
+    samples_per_period: int = 160,
+) -> tuple:
+    """Long-run reference for ``compare_chi3``: each rung integrated from rest.
+
+    Each rung runs ``simulate`` for max(30/gamma, 60 periods), so that the
+    transient decays, and reads the last quarter.  Returns the report
+    ``compare_chi3`` would give from these runs and the per-rung harmonic
+    spectra, as ``(report, spectra)``.
+
+    Runs ``ladder`` simulations with drive amplitudes doubling from
+    ``base_amp``, fits log|A3| against log|A1|, and compares the measured
+    A3/A1**3 with the harmonic-balance reference and the comb-path
+    prediction.  Raises ``RegimeError`` when the fit quality drops below
+    R**2 = 0.999 (drive too strong or too weak for clean cubic scaling).
+    """
+    if ladder < 3:
+        raise InputError("ladder needs at least 3 drive amplitudes")
+    params0 = duffing_from_medium(medium, lam, drive_freq, 0.0)
+    perturbative_reference(params0)  # validates the resonance guard
+    gamma = params0.gamma_damp
+    if gamma <= 0:
+        raise InputError("comparison needs a lossy medium")
+    wd = params0.drive_freq
+    if base_amp is None:
+        lin_den = abs(params0.omega0**2 - wd**2)
+        x_top = 0.06 * params0.omega0**2 / max(abs(params0.eta), 1.0) ** 0.5
+        base_amp = x_top * lin_den / 2 ** (ladder - 1)
+
+    period = 2.0 * math.pi / wd
+    # integer samples per period, dense enough for the fastest scale
+    spp = max(samples_per_period, int(math.ceil(period * max(params0.omega0, wd) / 0.04)))
+    dt = period / spp
+    # long enough that the transient is negligible inside the kept window
+    t_end = max(30.0 / gamma, 60.0 * period)
+    t_end = (int(round(t_end / period)) + 1) * period
+
+    a1s, a3s, ratios = [], [], []
+    energy_err = None
+    spectra = []
+    for j in range(ladder):
+        amp = base_amp * 2.0**j
+        params = DuffingParams(
+            omega0=params0.omega0,
+            gamma_damp=gamma,
+            eta=params0.eta,
+            drive_amp=amp,
+            drive_freq=wd,
+            coupling=params0.coupling,
+        )
+        traj = simulate(params, t_end, dt)
+        spec = harmonic_amplitudes(traj, wd, 3)
+        spectra.append(spec)
+        a1s.append(spec[1])
+        a3s.append(spec[3])
+        ratios.append(spec[3] / spec[1] ** 3)
+        if j == ladder // 2:
+            energy_err = _energy_balance(traj, params)
+
+    logs1 = np.log(np.abs(np.asarray(a1s)))
+    logs3 = np.log(np.abs(np.asarray(a3s)))
+    slope, intercept = np.polyfit(logs1, logs3, 1)
+    fitted = slope * logs1 + intercept
+    ss_res = float(np.sum((logs3 - fitted) ** 2))
+    ss_tot = float(np.sum((logs3 - np.mean(logs3)) ** 2))
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
+    if r_squared < 0.999:
+        raise RegimeError("not in perturbative regime")
+
+    measured = complex(ratios[ladder // 2])
+    reference = perturbative_reference(params0)
+    disp_pred = _displacement_thg_ratio(medium, lam, wd)
+    report = CompareReport(
+        scaling_exponent=float(slope),
+        r_squared=r_squared,
+        measured_ratio=measured,
+        reference_ratio=reference,
+        ratio_to_reference=measured / reference,
+        displacement_ratio=disp_pred,
+        ratio_to_displacement=measured / disp_pred,
+        energy_balance_error=float(energy_err),
+        params=params0,
+    )
+    return report, spectra
 
 
 @pytest.fixture

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import compare_chi3_long_run
 from nlmedium.duffing import (
     DuffingParams,
+    _drive_ladder,
+    _energy_balance,
     compare_chi3,
     duffing_from_medium,
     harmonic_amplitudes,
@@ -14,6 +17,7 @@ from nlmedium.duffing import (
 from nlmedium.errors import (
     DivergenceError,
     InputError,
+    RegimeError,
     ResonantHarmonicError,
     WindowAlignmentError,
 )
@@ -148,3 +152,67 @@ class TestCompare:
         assert abs(rep.ratio_to_displacement - 1.0) < 0.05
         assert rep.energy_balance_error < 0.005
         assert rep.to_dict()["tolerance_pass"] is True
+
+
+class TestPeriodicOrbit:
+    """The drive ladder of ``compare_chi3`` solved as periodic orbits."""
+
+    @pytest.fixture
+    def lam(self):
+        from nlmedium.nonlinear import lambda_isotropic
+
+        return lambda_isotropic(0.05, 0.08, 0.05)
+
+    def test_rungs_match_long_run(self, oracle_medium, lam):
+        rep_long, spectra_long = compare_chi3_long_run(oracle_medium, lam, drive_freq=0.24, ladder=5)
+        params0, rungs = _drive_ladder(oracle_medium, lam, 0.24, 5, None, 160)
+        for (_, orbit), long in zip(rungs, spectra_long, strict=True):
+            spec = harmonic_amplitudes(orbit, 0.24, 3)
+            assert abs(spec[1] / long[1] - 1.0) <= 1e-7
+        rep = compare_chi3(oracle_medium, lam, drive_freq=0.24, ladder=5)
+        assert rep.energy_balance_error == max(_energy_balance(orbit, p) for p, orbit in rungs)
+        assert abs(rep.ratio_to_reference - rep_long.ratio_to_reference) < 2e-3
+        assert abs(rep.scaling_exponent - rep_long.scaling_exponent) < 5e-3
+
+    def test_harmonic_balance_deviation_is_order_a1_squared(self, oracle_medium, lam):
+        # with no residual transient, A3/A1**3 departs from first-order
+        # harmonic balance by the next order only, which grows as A1**2:
+        # x4 per doubling of the drive
+        params0, rungs = _drive_ladder(oracle_medium, lam, 0.24, 5, None, 160)
+        reference = perturbative_reference(params0)
+        devs = []
+        for _, orbit in rungs:
+            spec = harmonic_amplitudes(orbit, 0.24, 3)
+            devs.append(abs(spec[3] / spec[1] ** 3 / reference - 1.0))
+        for weak, strong in zip(devs, devs[1:]):
+            assert 3.9 <= strong / weak <= 4.1
+
+    def test_ladder_integrates_few_periods(self, oracle_medium, lam, monkeypatch):
+        import nlmedium.duffing as duffing
+
+        runs = []
+        core = duffing._rk4
+
+        def counted(params, dt, n_steps, x, v, keep_from):
+            runs.append(n_steps)
+            return core(params, dt, n_steps, x, v, keep_from)
+
+        monkeypatch.setattr(duffing, "_rk4", counted)
+        compare_chi3(oracle_medium, lam, drive_freq=0.24, ladder=5)
+        assert len(runs) <= 35
+        assert len(set(runs)) == 1  # every run is one drive period
+
+    def test_strongly_nonlinear_ladder_converges(self, oracle_medium, lam):
+        # near resonance the top rungs land far from the doubled warm start;
+        # the long run passes here, and so must the orbit solve
+        rep = compare_chi3(oracle_medium, lam, drive_freq=1.1, ladder=5, base_amp=0.01)
+        assert rep.to_dict()["tolerance_pass"] is True
+
+    def test_orbit_nonconvergence_raises(self, oracle_medium):
+        from nlmedium.nonlinear import lambda_isotropic
+
+        # a strongly hardening oscillator driven far outside the cubic
+        # regime: bounded, but no orbit within 12 chord steps of the linear start
+        lam = lambda_isotropic(-0.5, 0.08, 0.05)
+        with pytest.raises(RegimeError, match="periodic orbit did not converge"):
+            compare_chi3(oracle_medium, lam, drive_freq=0.7, ladder=5, base_amp=1.0)

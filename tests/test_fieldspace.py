@@ -78,6 +78,14 @@ class TestKernelAndGreen:
         with pytest.raises(PropagatorPoleError, match="propagator pole"):
             photon_green(vacuum, ctx(2.0, 2.0))
 
+    def test_small_frequency_is_not_a_pole(self, lossy):
+        # K_tot is w**2 eps(w) I near w = 0 (less k**2 on the transverse
+        # block): tiny, but perfectly conditioned
+        for c, n in ((ctx(0.0, 1e-3), 3), (ctx(1e-4, 1e-4), 2)):
+            d = photon_green(lossy, c)
+            k = total_kernel(lossy, c)
+            assert np.max(np.abs((d @ k)[:n, :n] - np.eye(n))) < 1e-12
+
     def test_lossy_light_cone_regularized(self, lossy):
         d = photon_green(lossy, ctx(0.8, 0.8))
         assert np.all(np.isfinite(d))

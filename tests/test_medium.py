@@ -16,6 +16,9 @@ from nlmedium.medium import (
     NuConstant,
     NuTabulated,
     Rank2Response,
+    _gamma_magnitude,
+    _gamma_scalar,
+    _gamma_values,
     _sigma_values,
     chi1,
     chi1_scalar,
@@ -181,6 +184,14 @@ class TestGammaResponse:
         g = gamma_response(lossy, lossy.omega0)[0, 0]
         assert np.isfinite(g)
         assert g.imag > 0
+
+
+    def test_both_signs_share_one_cache_entry(self, lossy):
+        _gamma_magnitude.cache_clear()
+        for w in (0.7, -0.7, -2.5, 2.5, 0.0, -0.0):
+            value = np.complex128(_gamma_scalar(lossy, w))
+            assert value.tobytes() == _gamma_values(lossy, np.asarray([w]))[0].tobytes()
+        assert _gamma_magnitude.cache_info().currsize == 3
 
 
 class TestChi1:
