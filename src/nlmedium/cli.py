@@ -1,5 +1,13 @@
 """Command dispatch and artifact emission.
 
+Every run decodes one parsed config dict with ``RunConfig.from_config``:
+the ``--config`` file, or ``{"medium": <--medium file>}`` without one, so
+both entry points share one set of defaults.  ``--medium`` and
+``--lambda`` files then replace those sections.  Each command hands the
+values the library returns to one writer call: arrays and complex values
+go to the JSON encoder as they are, and CSV cells are formatted once per
+distinct number (``serialize``).
+
 Exit codes: 0 success, 2 validation error (including a missing or
 malformed config value), 3 numerical-convergence error, 64 usage error
 (unknown command or bad flags), 65 malformed JSON input.  Identical
@@ -28,28 +36,9 @@ from .fieldspace import (
 )
 from .medium import MediumParams, NuZero, _config_value, _reject_unknown_keys, chi1_spectrum, kk_reconstruct
 from .nonlinear import chi3, lambda_from_config
-from .serialize import (
-    comb_from_obj,
-    comb_to_obj,
-    complex_pair,
-    load_json_file,
-    matrix_pairs,
-    write_csv,
-    write_json,
-)
+from .serialize import _format_once, comb_from_obj, comb_to_obj, load_json_file, write_csv, write_json
 
 __all__ = ["RunConfig", "run", "main", "COMMANDS"]
-
-COMMANDS = (
-    "chi1",
-    "chi3",
-    "kk-check",
-    "propagators",
-    "dyson",
-    "wick-dump",
-    "displacement",
-    "duffing-compare",
-)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -94,8 +83,8 @@ class RunConfig:
     out_format: str
 
     @classmethod
-    def from_file(cls, path: str, out_dir=None, out_format=None, seed=None) -> "RunConfig":
-        cfg = load_json_file(path)
+    def from_config(cls, cfg: dict, out_dir=None, out_format=None, seed=None) -> "RunConfig":
+        """Decode a parsed config; the arguments, when given, override its outputs and seed."""
         if "medium" not in cfg:
             raise InputError("config needs a 'medium' section")
         for section, known in _SECTION_KEYS.items():
@@ -158,73 +147,61 @@ def _out_path(config: RunConfig, name: str) -> str:
 
 _COMPONENTS = [f"{i}{j}" for i in range(3) for j in range(3)]
 _CHI3_COMPONENTS = [ab + mn for ab in _COMPONENTS for mn in _COMPONENTS]
+_POLARIZATION = np.array([1.0, 0.0, 0.0])
+_WICK_KINDS = ("plain", "star", "plain", "star")
+
+
+def _emit_json(config: RunConfig, name: str, obj) -> list:
+    path = _out_path(config, name)
+    write_json(path, obj)
+    return [path]
+
+
+def _emit_csv(config: RunConfig, name: str, freq_names, freqs: np.ndarray, values: np.ndarray, components) -> list:
+    """Rows (freqs..., component, re, im), one per sample and component.
+
+    ``freqs`` holds the frequencies named ``freq_names`` and ``values`` the
+    complex components, one row per sample; each distinct number is
+    formatted once.
+    """
+    lead, count = len(freq_names), len(components)
+    cells = _format_once(np.hstack([freqs, values.real, values.imag]))
+    # generators: write_csv reads the rows once, and no list of all rows is kept
+    rows = (
+        (*row[:lead], comp, row[lead + c], row[lead + count + c]) for row in cells for c, comp in enumerate(components)
+    )
+    path = _out_path(config, name)
+    write_csv(path, (*freq_names, "component", "re", "im"), rows)
+    return [path]
 
 
 def _cmd_chi1(config: RunConfig, args) -> list:
     spectrum = chi1_spectrum(config.medium, config.omega_grid)
+    grid = spectrum.freq_grid
     if config.out_format == "json":
-        payload = {
-            "seed": config.seed,
-            "samples": [
-                {"omega": w, "chi1": matrix_pairs(m)}
-                for w, m in zip(spectrum.freq_grid, spectrum.values)
-            ],
-        }
-        path = _out_path(config, "chi1.json")
-        write_json(path, payload)
-        return [path]
-    rows = []
-    for w, m in zip(spectrum.freq_grid, spectrum.values):
-        for comp, v in zip(_COMPONENTS, m.reshape(-1)):
-            rows.append((w, comp, v.real, v.imag))
-    path = _out_path(config, "chi1.csv")
-    write_csv(path, ("omega", "component", "re", "im"), rows)
-    return [path]
+        samples = [{"omega": w, "chi1": m} for w, m in zip(grid, spectrum.values)]
+        return _emit_json(config, "chi1.json", {"seed": config.seed, "samples": samples})
+    return _emit_csv(config, "chi1.csv", ("omega",), grid[:, None], spectrum.values.reshape(grid.size, 9), _COMPONENTS)
 
 
 def _cmd_chi3(config: RunConfig, args) -> list:
     lam = _need_lambda(config)
     quadruples = config.quadruples or [(w, w, w) for w in config.omega_grid if w != 0.0]
-    rows = []
-    payload = []
-    for w1, w2, w3 in quadruples:
-        w = w1 - w2 + w3
-        tensor = chi3(config.medium, lam, w, w1, w2, w3)
-        if config.out_format == "json":
-            payload.append(
-                {
-                    "w": w,
-                    "w1": w1,
-                    "w2": w2,
-                    "w3": w3,
-                    "chi3": [complex_pair(v) for v in tensor.reshape(-1)],
-                }
-            )
-        else:
-            for comp, v in zip(_CHI3_COMPONENTS, tensor.reshape(-1)):
-                rows.append((w, w1, w2, w3, comp, v.real, v.imag))
+    freqs = [(w1 - w2 + w3, w1, w2, w3) for w1, w2, w3 in quadruples]
+    tensors = [chi3(config.medium, lam, w, w1, w2, w3).reshape(-1) for w, w1, w2, w3 in freqs]
     if config.out_format == "json":
-        path = _out_path(config, "chi3.json")
-        write_json(path, {"seed": config.seed, "samples": payload})
-        return [path]
-    path = _out_path(config, "chi3.csv")
-    write_csv(path, ("w", "w1", "w2", "w3", "component", "re", "im"), rows)
-    return [path]
+        samples = [
+            {"w": w, "w1": w1, "w2": w2, "w3": w3, "chi3": tensor} for (w, w1, w2, w3), tensor in zip(freqs, tensors)
+        ]
+        return _emit_json(config, "chi3.json", {"seed": config.seed, "samples": samples})
+    freqs, values = np.reshape(freqs, (-1, 4)), np.reshape(tensors, (-1, 81))
+    return _emit_csv(config, "chi3.csv", ("w", "w1", "w2", "w3"), freqs, values, _CHI3_COMPONENTS)
 
 
 def _cmd_kk_check(config: RunConfig, args) -> list:
-    path = _out_path(config, "kk_check.json")
     if isinstance(config.medium.nu, NuZero):
-        write_json(
-            path,
-            {
-                "seed": config.seed,
-                "lossless": True,
-                "note": "no absorption; KK trivially satisfied",
-                "pass": True,
-            },
-        )
-        return [path]
+        report = {"seed": config.seed, "lossless": True, "note": "no absorption; KK trivially satisfied", "pass": True}
+        return _emit_json(config, "kk_check.json", report)
     grid = config.omega_grid
     vals = chi1_spectrum(config.medium, grid).values[:, 0, 0]
     recon = kk_reconstruct(grid, vals.imag)
@@ -234,51 +211,39 @@ def _cmd_kk_check(config: RunConfig, args) -> list:
     # ratio diverges where Re chi1 crosses zero, however accurate the sum
     scale = float(np.max(np.abs(vals.real[interior]))) or 1.0
     max_rel = float(np.max(np.abs(recon[interior] - vals.real[interior]))) / scale
-    write_json(
-        path,
-        {
-            "seed": config.seed,
-            "lossless": False,
-            "max_rel_error_interior": max_rel,
-            "pass": bool(max_rel <= 1e-3),
-        },
-    )
-    return [path]
+    report = {"seed": config.seed, "lossless": False, "max_rel_error_interior": max_rel, "pass": bool(max_rel <= 1e-3)}
+    return _emit_json(config, "kk_check.json", report)
 
 
-def _cmd_propagators(config: RunConfig, args) -> list:
-    pol = np.array([1.0, 0.0, 0.0])
-    omega_grid = config.omega_grid
-    spec = getattr(args, "omega_grid", None)
-    if spec:
-        try:
-            start, stop, count = spec.split(":")
-            omega_grid = _decode_grid({"start": float(start), "stop": float(stop), "n": int(count)})
-        except ValueError:
-            raise InputError("--omega-grid expects start:stop:n") from None
-    k_values = config.k_values
-    if getattr(args, "k_values", None):
-        k_values = np.asarray(args.k_values, dtype=float)
+def _propagator_samples(medium: MediumParams, k_values, omega_grid, dress) -> list:
+    """One JSON sample per (k, omega != 0).
+
+    ``dress(omega, g0)`` maps the tree propagators to the propagators
+    written as the four blocks, plus the sample's other keys.
+    """
     samples = []
     for k in k_values:
         for w in omega_grid:
             if w == 0.0:
                 continue
-            ctx = PlaneWaveContext(k=float(k), polarization=pol, omega=float(w))
-            g0 = tree_propagators(config.medium, ctx)
-            samples.append(
-                {
-                    "omega": float(w),
-                    "k": float(k),
-                    "AA": matrix_pairs(g0.aa),
-                    "AX": matrix_pairs(g0.ax),
-                    "XA": matrix_pairs(g0.xa),
-                    "XX": matrix_pairs(g0.xx),
-                }
-            )
-    path = _out_path(config, "propagators.json")
-    write_json(path, {"seed": config.seed, "samples": samples})
-    return [path]
+            ctx = PlaneWaveContext(k=float(k), polarization=_POLARIZATION, omega=float(w))
+            g, extra = dress(float(w), tree_propagators(medium, ctx))
+            sample = {"omega": float(w), "k": float(k), "AA": g.aa, "AX": g.ax, "XA": g.xa, "XX": g.xx}
+            samples.append(sample | extra)
+    return samples
+
+
+def _cmd_propagators(config: RunConfig, args) -> list:
+    omega_grid = config.omega_grid
+    if args.omega_grid:
+        try:
+            start, stop, count = args.omega_grid.split(":")
+            omega_grid = _decode_grid({"start": float(start), "stop": float(stop), "n": int(count)})
+        except ValueError:
+            raise InputError("--omega-grid expects start:stop:n") from None
+    k_values = config.k_values if not args.k_values else np.asarray(args.k_values, dtype=float)
+    samples = _propagator_samples(config.medium, k_values, omega_grid, lambda w, g0: (g0, {}))
+    return _emit_json(config, "propagators.json", {"seed": config.seed, "samples": samples})
 
 
 def _cmd_dyson(config: RunConfig, args) -> list:
@@ -288,68 +253,38 @@ def _cmd_dyson(config: RunConfig, args) -> list:
     # window stays strictly inside the kernel support |W| < loop_cutoff
     cutoff = config.loop_cutoff if config.loop_cutoff is not None else 0.5 * config.medium.loop_cutoff
     quad = LoopQuadrature(n_points=config.loop_n_points, cutoff=cutoff)
-    pol = np.array([1.0, 0.0, 0.0])
-    samples = []
     # the self-energy does not depend on k, and the loop integrals not on w
     pi_at = _self_energy_sweep(config.medium, lam, quad)
-    for k in config.k_values:
-        for w in config.omega_grid:
-            if w == 0.0:
-                continue
-            ctx = PlaneWaveContext(k=float(k), polarization=pol, omega=float(w))
-            g0 = tree_propagators(config.medium, ctx)
-            pi = pi_at(float(w))
-            dressed = dyson_dress(g0, pi.value)
-            chosen = dressed.single if mode == "single" else dressed.resummed
-            samples.append(
-                {
-                    "omega": float(w),
-                    "k": float(k),
-                    "mode": mode,
-                    "self_energy": matrix_pairs(pi.value),
-                    "error_estimate": pi.error_estimate,
-                    "AA": matrix_pairs(chosen.aa),
-                    "AX": matrix_pairs(chosen.ax),
-                    "XA": matrix_pairs(chosen.xa),
-                    "XX": matrix_pairs(chosen.xx),
-                }
-            )
-    path = _out_path(config, "dyson.json")
-    write_json(path, {"seed": config.seed, "samples": samples})
-    return [path]
+
+    def dress(w, g0):
+        pi = pi_at(w)
+        dressed = dyson_dress(g0, pi.value)
+        chosen = dressed.single if mode == "single" else dressed.resummed
+        return chosen, {"mode": mode, "self_energy": pi.value, "error_estimate": pi.error_estimate}
+
+    samples = _propagator_samples(config.medium, config.k_values, config.omega_grid, dress)
+    return _emit_json(config, "dyson.json", {"seed": config.seed, "samples": samples})
 
 
 def _cmd_wick_dump(config: RunConfig, args) -> list:
     from .wick import catalog_to_json, derivative_terms
 
     order = args.order
-    patterns = {
-        1: ("plain",),
-        2: ("plain", "star"),
-        3: ("plain", "star", "plain"),
-        4: ("plain", "star", "plain", "star"),
-    }
-    if order not in patterns:
+    if not 1 <= order <= 4:
         raise InputError("order must be between 1 and 4")
-    terms = derivative_terms(order, patterns[order])
-    path = _out_path(config, f"wick_order{order}.json")
-    write_json(path, {"seed": config.seed, "order": order, "terms": catalog_to_json(terms)})
-    return [path]
+    terms = catalog_to_json(derivative_terms(order, _WICK_KINDS[:order]))
+    return _emit_json(config, f"wick_order{order}.json", {"seed": config.seed, "order": order, "terms": terms})
 
 
 def _cmd_displacement(config: RunConfig, args) -> list:
     lam = _need_lambda(config)
     comb = comb_from_obj(load_json_file(args.comb_in))
     out = _run_displacement(comb, config.medium, lam)
-    if args.comb_out:
-        parent = os.path.dirname(args.comb_out)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        path = args.comb_out
-    else:
-        path = _out_path(config, "displacement.json")
-    write_json(path, comb_to_obj(out))
-    return [path]
+    if not args.comb_out:
+        return _emit_json(config, "displacement.json", comb_to_obj(out))
+    os.makedirs(os.path.dirname(args.comb_out) or ".", exist_ok=True)
+    write_json(args.comb_out, comb_to_obj(out))
+    return [args.comb_out]
 
 
 def _cmd_duffing_compare(config: RunConfig, args) -> list:
@@ -359,9 +294,7 @@ def _cmd_duffing_compare(config: RunConfig, args) -> list:
         raise InputError("duffing-compare needs a drive frequency")
     ladder = args.ladder if args.ladder is not None else config.drive_ladder
     report = _run_compare_chi3(config.medium, lam, float(drive), ladder=int(ladder))
-    path = _out_path(config, "duffing_compare.json")
-    write_json(path, dict(report.to_dict(), seed=config.seed))
-    return [path]
+    return _emit_json(config, "duffing_compare.json", dict(report.to_dict(), seed=config.seed))
 
 
 _HANDLERS = {
@@ -375,22 +308,13 @@ _HANDLERS = {
     "duffing-compare": _cmd_duffing_compare,
 }
 
+COMMANDS = tuple(_HANDLERS)
 
-def run(command: str, config: RunConfig, args=None) -> list:
-    """Dispatch one pipeline command; returns the artifact paths."""
+
+def run(command: str, config: RunConfig, args: argparse.Namespace) -> list:
+    """Dispatch one pipeline command with its parsed flags; returns the artifact paths."""
     if command not in _HANDLERS:
         raise InputError(f"unknown command {command!r}")
-    if args is None:
-        args = argparse.Namespace(
-            mode="resummed",
-            order=4,
-            comb_in=None,
-            comb_out=None,
-            drive_freq=None,
-            ladder=None,
-            omega_grid=None,
-            k_values=None,
-        )
     return _HANDLERS[command](config, args)
 
 
@@ -447,25 +371,12 @@ def main(argv=None) -> int:
 
     try:
         if args.config:
-            config = RunConfig.from_file(args.config, out_dir=args.out, out_format=args.format, seed=args.seed)
+            cfg = load_json_file(args.config)
+        elif getattr(args, "medium_file", None):
+            cfg = {"medium": load_json_file(args.medium_file)}
         else:
-            medium_file = getattr(args, "medium_file", None)
-            if not medium_file:
-                raise InputError("either --config or --medium is required")
-            config = RunConfig(
-                medium=MediumParams.from_config(load_json_file(medium_file)),
-                lam=None,
-                omega_grid=np.linspace(0.1, 2.0, 20),
-                k_values=np.asarray([0.0]),
-                quadruples=[],
-                loop_n_points=2048,
-                loop_cutoff=None,
-                drive_freq=None,
-                drive_ladder=5,
-                seed=args.seed or 0,
-                out_dir=args.out or ".",
-                out_format=args.format or "json",
-            )
+            raise InputError("either --config or --medium is required")
+        config = RunConfig.from_config(cfg, out_dir=args.out, out_format=args.format, seed=args.seed)
         config = _apply_file_overrides(config, args)
         artifacts = run(args.command, config, args)
     except json.JSONDecodeError as exc:

@@ -160,7 +160,9 @@ def _periodic_orbit(params: DuffingParams, spp: int, z0) -> Trajectory:
     integration and keeps strongly nonlinear rungs from stalling on a
     stale J.  The steps stop when max|P(z) - z| <= 1e-13 max|x| over the
     period.  Returns the samples of that last period; raises
-    ``RegimeError`` after 12 steps without convergence.
+    ``RegimeError`` after 12 steps without convergence, or when a chord
+    step lands where the run trips the amplitude guard.  A trip from the
+    start ``z0`` stays ``DivergenceError``.
     """
     wd = params.drive_freq
     dt = 2.0 * math.pi / wd / spp
@@ -171,8 +173,15 @@ def _periodic_orbit(params: DuffingParams, spp: int, z0) -> Trajectory:
 
     z = np.array(z0, dtype=float)
     chord = None
-    for _ in range(13):  # the start and 12 chord steps
-        orbit, end = period_map(z)
+    for trial in range(13):  # the start and 12 chord steps
+        try:
+            orbit, end = period_map(z)
+        except DivergenceError:
+            if trial == 0:
+                raise
+            # a chord step overshot the amplitude guard: the solve failed,
+            # which says nothing about the orbit being bounded
+            raise RegimeError("periodic orbit did not converge") from None
         res = end - z
         if np.max(np.abs(res)) <= 1e-13 * np.max(np.abs(orbit.x)):
             return orbit

@@ -478,14 +478,16 @@ def _gamma_values(params: MediumParams, omega) -> np.ndarray:
 
     The one implementation of gamma; scalar callers read it through the
     cache of ``_gamma_scalar``.  The static limit ``gamma(0) = eps0 chi_s``
-    is exact, and negative frequencies are folded by conjugation.
+    is exact, and negative frequencies are folded by conjugation.  A pole
+    is a denominator below 1e-14 of its static value omega0**2, a test
+    that does not depend on the unit of frequency.
     """
     w = np.asarray(omega, dtype=float)
     a = np.abs(w)
     w0sq = params.omega0**2
     sigma = _sigma_values(params, a)
     den = w0sq - a**2 - a**2 * w0sq * params.eps0 * params.chi_s * sigma
-    if np.any(np.abs(den) < 1e-14):
+    if np.any(np.abs(den) < 1e-14 * w0sq):
         raise ResponsePoleError("response pole hit")
     gamma = params.eps0 * w0sq * params.chi_s / den
     gamma[a == 0.0] = params.eps0 * params.chi_s

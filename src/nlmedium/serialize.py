@@ -5,6 +5,14 @@ round-trip repr and CSV cells use 17 significant digits (``%.17g``).
 Complex values are [re, im] pairs.  JSON output is canonical (sorted keys,
 fixed separators), which makes artifacts byte-identical for identical
 configurations.
+
+Artifacts are written in one pass from the values the library returns.
+``dumps_canonical`` hands its object to ``json.dumps`` as it is: floats,
+``np.float64`` included, print through ``float.__repr__``, and a hook
+converts only what ``json`` cannot encode (complex values, other numpy
+scalars, arrays).  ``write_csv`` writes cells that are already text;
+``_format_once`` makes them from an array of numbers, formatting each
+distinct bit pattern once (so ``-0.0`` keeps its sign).
 """
 
 from __future__ import annotations
@@ -18,8 +26,6 @@ from .medium import _config_value, _reject_unknown_keys
 
 __all__ = [
     "fmt_float",
-    "complex_pair",
-    "matrix_pairs",
     "dumps_canonical",
     "write_json",
     "write_csv",
@@ -33,36 +39,36 @@ def fmt_float(x) -> str:
     return "%.17g" % float(x)
 
 
-def complex_pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
+def _format_once(values):
+    """``fmt_float`` text of a 2-d array, one list of cells per row.
+
+    Each distinct bit pattern is formatted once: a response that is a
+    scalar times I repeats a handful of values over many cells.  The key
+    is the bit pattern, not the value, because ``-0.0 == 0.0`` prints
+    ``-0``.  Rows are made as they are read.
+    """
+    texts = {}
+    for row in np.ascontiguousarray(values, dtype=float):
+        yield [
+            texts[b] if b in texts else texts.setdefault(b, fmt_float(x))
+            for x, b in zip(row.tolist(), row.view(np.uint64).tolist())
+        ]
 
 
-def matrix_pairs(m) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[complex_pair(v) for v in row] for row in m]
-
-
-def _canonical(obj):
-    if isinstance(obj, dict):
-        return {k: _canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+def _json_default(obj):
     if isinstance(obj, np.ndarray):
-        return _canonical(obj.tolist())
-    return obj
+        return obj.tolist()
+    if isinstance(obj, complex):  # np.complex128 included
+        return [obj.real, obj.imag]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(_canonical(obj), sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_json_default) + "\n"
 
 
 def write_json(path, obj) -> None:
@@ -71,18 +77,10 @@ def write_json(path, obj) -> None:
 
 
 def write_csv(path, header, rows) -> None:
+    """Write the header and the rows, read once from any iterable; every cell is already text."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = []
-            for cell in row:
-                if isinstance(cell, str):
-                    cells.append(cell)
-                elif isinstance(cell, (int, np.integer)):
-                    cells.append(str(int(cell)))
-                else:
-                    cells.append(fmt_float(cell))
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def load_json_file(path):
@@ -93,7 +91,7 @@ def load_json_file(path):
 
 
 def comb_to_obj(comb) -> list:
-    return [{"omega": w, "amp": [complex_pair(c) for c in a]} for w, a in comb.lines]
+    return [{"omega": w, "amp": a} for w, a in comb.lines]
 
 
 def comb_from_obj(obj):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 
 import numpy as np
@@ -464,6 +465,46 @@ def compare_chi3_long_run(
         params=params0,
     )
     return report, spectra
+
+
+def _prepass(obj):
+    """Every value converted to a plain JSON type before ``json.dumps`` sees it."""
+    if isinstance(obj, dict):
+        return {k: _prepass(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_prepass(v) for v in obj]
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, np.ndarray):
+        return _prepass(obj.tolist())
+    return obj
+
+
+def dumps_canonical_prepass(obj) -> str:
+    """Reference canonical JSON: a full pre-pass over the object, then ``json.dumps``."""
+    return json.dumps(_prepass(obj), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def write_csv_per_cell(path, header, rows) -> None:
+    """Reference CSV writer: text cells as they are, integers by ``str``, every other cell ``%.17g``."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = []
+            for cell in row:
+                if isinstance(cell, str):
+                    cells.append(cell)
+                elif isinstance(cell, (int, np.integer)):
+                    cells.append(str(int(cell)))
+                else:
+                    cells.append("%.17g" % float(cell))
+            fh.write(",".join(cells) + "\n")
 
 
 @pytest.fixture

@@ -3,9 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from conftest import dumps_canonical_prepass, write_csv_per_cell
 from nlmedium.cli import EXIT_BAD_JSON, EXIT_NUMERICS, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from nlmedium.serialize import comb_from_obj, comb_to_obj, dumps_canonical, fmt_float
+from nlmedium.medium import MediumParams, chi1_spectrum
+from nlmedium.nonlinear import chi3, lambda_from_config
+from nlmedium.serialize import _format_once, comb_from_obj, comb_to_obj, dumps_canonical, fmt_float, write_csv
 
 
 @pytest.fixture
@@ -410,3 +416,133 @@ class TestDeterminism:
         for (w1, a1), (w2, a2) in zip(comb.lines, again.lines):
             assert w1 == w2
             assert np.array_equal(a1, a2)
+
+
+# floats that stress the formats: signed zeros, the smallest subnormal,
+# infinities, nan, and values whose %.17g and repr differ
+_SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 0.1, 1.0 / 3.0, 1e300])
+_FLOATS = st.one_of(_SPECIAL, st.floats())
+_SCALARS = st.one_of(
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.builds(complex, _FLOATS, _FLOATS),
+    st.builds(complex, _FLOATS, _FLOATS).map(np.complex128),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    hnp.arrays(
+        st.sampled_from([np.float64, np.complex128, np.int64]), hnp.array_shapes(min_dims=0, max_dims=2, max_side=3)
+    ),
+)
+_OBJECTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+class TestWriterAgainstReference:
+    """The one-pass writers give the bytes of the reference writers in ``conftest``."""
+
+    @given(_OBJECTS)
+    @settings(max_examples=300, deadline=None)
+    def test_json_matches_prepass(self, obj):
+        assert dumps_canonical(obj) == dumps_canonical_prepass(obj)
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6), elements=_FLOATS))
+    @settings(max_examples=300, deadline=None)
+    def test_csv_matches_per_cell(self, tmp_path_factory, values):
+        out = tmp_path_factory.mktemp("csv")
+        header = [f"c{j}" for j in range(values.shape[1])]
+        write_csv(out / "new.csv", header, _format_once(values))
+        write_csv_per_cell(out / "ref.csv", header, values)
+        assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+    def test_signed_zeros_keep_their_sign(self):
+        assert list(_format_once([[0.0, -0.0, 0.0]])) == [["0", "-0", "0"]]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_chi1_and_chi3_artifacts(self, config_path, tmp_path, fmt):
+        # omega = 0 is on the grid, and above the resonance of this lossless
+        # medium Re chi1 < 0 and Im chi1 = 0, where signed zeros occur
+        cfg = read_json(config_path)
+        del cfg["medium"]["nu"]
+        cfg["grids"] = {"omega": {"start": 0.0, "stop": 3.0, "n": 12}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / fmt
+        for command in ("chi1", "chi3"):
+            assert main(["--config", str(path), "--out", str(out), "--format", fmt, command]) == EXIT_OK
+        medium = MediumParams.from_config(cfg["medium"])
+        lam = lambda_from_config(cfg["lambda"])
+        spectrum = chi1_spectrum(medium, np.linspace(0.0, 3.0, 12))
+        assert np.any(spectrum.values.real < 0)
+        quads = [(w, w, w) for w in spectrum.freq_grid if w != 0.0]
+        tensors = [chi3(medium, lam, w, w, w, w).reshape(-1) for w, _, _ in quads]
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        if fmt == "json":
+            def pairs(values):
+                return [[v.real, v.imag] for v in values]
+
+            chi1_samples = [
+                {"omega": w, "chi1": [pairs(row) for row in m]} for w, m in zip(spectrum.freq_grid, spectrum.values)
+            ]
+            chi3_samples = [
+                {"w": w, "w1": w, "w2": w, "w3": w, "chi3": pairs(t)} for (w, _, _), t in zip(quads, tensors)
+            ]
+            (ref / "chi1.json").write_text(dumps_canonical_prepass({"seed": 7, "samples": chi1_samples}))
+            (ref / "chi3.json").write_text(dumps_canonical_prepass({"seed": 7, "samples": chi3_samples}))
+        else:
+            comps = [f"{i}{j}" for i in range(3) for j in range(3)]
+            chi1_rows = [
+                (w, c, v.real, v.imag)
+                for w, m in zip(spectrum.freq_grid, spectrum.values)
+                for c, v in zip(comps, m.reshape(-1))
+            ]
+            chi3_rows = [
+                (w, w, w, w, a + b, v.real, v.imag)
+                for (w, _, _), t in zip(quads, tensors)
+                for (a, b), v in zip(((a, b) for a in comps for b in comps), t)
+            ]
+            write_csv_per_cell(ref / "chi1.csv", ("omega", "component", "re", "im"), chi1_rows)
+            write_csv_per_cell(ref / "chi3.csv", ("w", "w1", "w2", "w3", "component", "re", "im"), chi3_rows)
+            assert "-0" in (out / "chi1.csv").read_text().replace("\n", ",").split(",")
+        for name in (f"chi1.{fmt}", f"chi3.{fmt}"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+
+class TestEntryPoints:
+    """``--config`` and ``--medium``/``--lambda`` files holding its sections write the same bytes."""
+
+    @pytest.mark.parametrize(
+        "command, flags, name",
+        [
+            ("displacement", ["--in"], "displacement.json"),
+            ("duffing-compare", ["--drive-freq", "0.24"], "duffing_compare.json"),
+        ],
+    )
+    def test_same_bytes(self, config_path, tmp_path, command, flags, name):
+        cfg = read_json(config_path)
+        medium, lam, comb = tmp_path / "m.json", tmp_path / "l.json", tmp_path / "comb.json"
+        medium.write_text(json.dumps(cfg["medium"]))
+        lam.write_text(json.dumps(cfg["lambda"]))
+        comb.write_text(json.dumps([{"omega": 0.9, "amp": [[0.1, 0.02], [0.0, 0.0], [0.0, 0.0]]}]))
+        if command == "displacement":
+            flags = flags + [str(comb)]
+        sources = {
+            "config": ["--config", config_path, command],
+            "files": [command, "--medium", str(medium), "--lambda", str(lam)],
+        }
+        written = []
+        for tag, argv in sources.items():
+            out = tmp_path / tag
+            assert main(["--out", str(out), "--seed", "7"] + argv + flags) == EXIT_OK
+            written.append((out / name).read_bytes())
+        assert written[0] == written[1]

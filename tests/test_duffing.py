@@ -216,3 +216,17 @@ class TestPeriodicOrbit:
         lam = lambda_isotropic(-0.5, 0.08, 0.05)
         with pytest.raises(RegimeError, match="periodic orbit did not converge"):
             compare_chi3(oracle_medium, lam, drive_freq=0.7, ladder=5, base_amp=1.0)
+
+    def test_chord_overshoot_is_nonconvergence(self, oracle_medium):
+        from nlmedium.nonlinear import lambda_isotropic
+
+        # the oscillator hardens and stays bounded, and the long run gives
+        # up on the same input as outside the cubic regime; a chord step
+        # from the far warm start that trips the amplitude guard is the
+        # solve failing, not the oscillator diverging
+        lam = lambda_isotropic(-0.5, 0.08, 0.05)
+        assert duffing_from_medium(oracle_medium, lam, 0.24, 0.0).eta > 0
+        with pytest.raises(RegimeError):
+            compare_chi3_long_run(oracle_medium, lam, drive_freq=0.24, base_amp=3.0)
+        with pytest.raises(RegimeError, match="periodic orbit did not converge"):
+            compare_chi3(oracle_medium, lam, drive_freq=0.24, base_amp=3.0)

@@ -180,6 +180,15 @@ class TestGammaResponse:
         with pytest.raises(ResponsePoleError, match="response pole hit"):
             gamma_response(lossless, lossless.omega0)
 
+    @pytest.mark.parametrize("omega0", [1e-3, 1.0, 1e3])
+    def test_pole_test_is_scale_free(self, omega0):
+        # the same relative detuning reads the same at every unit of frequency
+        medium = MediumParams(omega0=omega0, chi_s=1.0, alpha=0.5, rho=1.0, loop_cutoff=30.0 * omega0)
+        with pytest.raises(ResponsePoleError, match="response pole hit"):
+            chi1(medium, omega0 * (1.0 + 2.0**-52))
+        near = chi1_scalar(medium, omega0 * (1.0 + 1e-12))
+        assert np.isfinite(near) and 1e11 < abs(near) < 1e12
+
     def test_lossy_resonance_finite_with_positive_im(self, lossy):
         g = gamma_response(lossy, lossy.omega0)[0, 0]
         assert np.isfinite(g)
