@@ -1,12 +1,15 @@
 """Command dispatch and artifact emission.
 
 Every run decodes one parsed config dict with ``RunConfig.from_config``:
-the ``--config`` file, or ``{"medium": <--medium file>}`` without one, so
-both entry points share one set of defaults.  ``--medium`` and
-``--lambda`` files then replace those sections.  Each command hands the
-values the library returns to one writer call: arrays and complex values
-go to the JSON encoder as they are, and CSV cells are formatted once per
-distinct number (``serialize``).
+the ``--config`` file (an empty one without it) with the ``--medium`` and
+``--lambda`` files, when given, in place of those sections.  Both entry
+points thus share one set of defaults, and each file is read once.  The
+commands that read the response at many frequencies (``chi3``,
+``propagators``, ``dyson``) first evaluate it at all of them in one
+kernel call.  Each command hands the values the library returns to one
+writer call: arrays and complex values go to the JSON encoder as they
+are, and CSV cells are formatted once per distinct number
+(``serialize``).
 
 Exit codes: 0 success, 2 validation error (including a missing or
 malformed config value), 3 numerical-convergence error, 64 usage error
@@ -34,7 +37,15 @@ from .fieldspace import (
     dyson_dress,
     tree_propagators,
 )
-from .medium import MediumParams, NuZero, _config_value, _reject_unknown_keys, chi1_spectrum, kk_reconstruct
+from .medium import (
+    MediumParams,
+    NuZero,
+    _cache_gamma,
+    _config_value,
+    _reject_unknown_keys,
+    chi1_spectrum,
+    kk_reconstruct,
+)
 from .nonlinear import chi3, lambda_from_config
 from .serialize import _format_once, comb_from_obj, comb_to_obj, load_json_file, write_csv, write_json
 
@@ -188,6 +199,7 @@ def _cmd_chi3(config: RunConfig, args) -> list:
     lam = _need_lambda(config)
     quadruples = config.quadruples or [(w, w, w) for w in config.omega_grid if w != 0.0]
     freqs = [(w1 - w2 + w3, w1, w2, w3) for w1, w2, w3 in quadruples]
+    _cache_gamma(config.medium, np.ravel(freqs))
     tensors = [chi3(config.medium, lam, w, w1, w2, w3).reshape(-1) for w, w1, w2, w3 in freqs]
     if config.out_format == "json":
         samples = [
@@ -221,6 +233,7 @@ def _propagator_samples(medium: MediumParams, k_values, omega_grid, dress) -> li
     ``dress(omega, g0)`` maps the tree propagators to the propagators
     written as the four blocks, plus the sample's other keys.
     """
+    _cache_gamma(medium, omega_grid)
     samples = []
     for k in k_values:
         for w in omega_grid:
@@ -347,14 +360,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_file_overrides(config: RunConfig, args) -> RunConfig:
+def _read_config(args) -> dict:
+    """The parsed ``--config`` file with the ``--medium`` and ``--lambda`` files as its sections.
+
+    Each file is read once.  Without ``--config``, ``--medium`` is required.
+    """
     medium_file = getattr(args, "medium_file", None)
-    if medium_file:
-        config.medium = MediumParams.from_config(load_json_file(medium_file))
-    lambda_file = getattr(args, "lambda_file", None)
-    if lambda_file:
-        config.lam = lambda_from_config(load_json_file(lambda_file))
-    return config
+    if args.config:
+        cfg = load_json_file(args.config)
+        if not isinstance(cfg, dict):
+            raise InputError("config must be an object")
+    elif medium_file:
+        cfg = {}
+    else:
+        raise InputError("either --config or --medium is required")
+    for section, path in (("medium", medium_file), ("lambda", getattr(args, "lambda_file", None))):
+        if path:
+            cfg[section] = load_json_file(path)
+    return cfg
 
 
 def main(argv=None) -> int:
@@ -370,14 +393,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     try:
-        if args.config:
-            cfg = load_json_file(args.config)
-        elif getattr(args, "medium_file", None):
-            cfg = {"medium": load_json_file(args.medium_file)}
-        else:
-            raise InputError("either --config or --medium is required")
-        config = RunConfig.from_config(cfg, out_dir=args.out, out_format=args.format, seed=args.seed)
-        config = _apply_file_overrides(config, args)
+        config = RunConfig.from_config(_read_config(args), out_dir=args.out, out_format=args.format, seed=args.seed)
         artifacts = run(args.command, config, args)
     except json.JSONDecodeError as exc:
         sys.stderr.write(f"error: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}\n")

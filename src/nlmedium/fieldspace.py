@@ -254,6 +254,26 @@ class SelfEnergyResult:
     tail_error: float
 
 
+def _loop_windows(quadrature: LoopQuadrature) -> tuple:
+    """The three loop windows, each its non-negative half mirrored.
+
+    [-cutoff, cutoff] at n nodes and at n // 2 nodes, and
+    [-cutoff/2, cutoff/2] at n // 2 + 1 nodes (about the full window's
+    spacing).  Each half is the upper half of the ``np.linspace`` window,
+    with an exact 0.0 centre node when the count is odd, so a window equals
+    its negated reverse bitwise and W and -W share one |W|.
+    """
+    cut = quadrature.cutoff
+    n = quadrature.n_points
+    windows = []
+    for half_width, count in ((cut, n), (cut, n // 2), (cut / 2.0, n // 2 + 1)):
+        half = np.linspace(-half_width, half_width, count)[count // 2 :]
+        if count % 2:
+            half[0] = 0.0
+        windows.append(np.concatenate([-half[count % 2 :][::-1], half]))
+    return tuple(windows)
+
+
 def _loop_integrals(medium: MediumParams, quadrature: LoopQuadrature) -> tuple:
     """Scalar loop integrals J = integral dW/(2 pi) s(W) over the three windows.
 
@@ -265,18 +285,12 @@ def _loop_integrals(medium: MediumParams, quadrature: LoopQuadrature) -> tuple:
 
         s(W) = g (Gamma + alpha**2 Gamma**2 / (eps0 - g alpha**2 Gamma))
 
-    stays finite at W = 0.  The windows are [-cutoff, cutoff] at n nodes
-    and at n // 2 nodes, and [-cutoff/2, cutoff/2] at n // 2 + 1 nodes
-    (the full window's spacing); one response evaluation covers the
-    distinct |W| of all three.  Returns (J_full, J_half, J_cut).
+    stays finite at W = 0.  The windows are those of ``_loop_windows``;
+    being mirrored, they hold about n distinct |W| between them (8,191
+    positive ones for n = 8192), and one response evaluation covers them
+    all.  Returns (J_full, J_half, J_cut).
     """
-    cut = quadrature.cutoff
-    n = quadrature.n_points
-    windows = (
-        np.linspace(-cut, cut, n),
-        np.linspace(-cut, cut, n // 2),
-        np.linspace(-cut / 2.0, cut / 2.0, n // 2 + 1),
-    )
+    windows = _loop_windows(quadrature)
     absw, inverse = np.unique(np.abs(np.concatenate(windows)), return_inverse=True)
     gam = _gamma_values(medium, absw)
     m = medium.eps0 - medium.g * medium.alpha**2 * gam

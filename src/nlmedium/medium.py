@@ -21,22 +21,30 @@ cases alike.
 
 Evaluation: one principal-value quadrature serves every caller.  It takes
 an array of positive frequencies, one quadrature row each, and runs them
-in chunks that keep every temporary at or below 2**15 elements.
-``chi1_spectrum`` evaluates a whole grid with one such call.  gamma has
-one implementation, on arrays (``_gamma_values``); ``chi1``,
-``chi1_scalar`` and ``gamma_response`` read it at one frequency through
-one cache per (medium, |frequency|), and ``reservoir_kernel`` reads the
-kernel the same way, uncached, so scalar values equal array values
-bitwise.  Negative frequencies are folded by complex conjugation, so
-Hermitian analyticity holds bitwise.  ``kk_reconstruct`` is a row-chunked
-matrix form of the Kramers-Kronig sum.
+in chunks that keep every temporary at or below 2**15 elements.  The base
+sum of a row is one contraction (``einsum``, no BLAS) of the
+pole-subtracted integrand with fixed trapezoid weights; the row's pole
+cluster is then merged in.  Rows are independent bitwise: a value does not
+depend on which other frequencies share the call.  ``chi1_spectrum``
+evaluates a whole grid with one such call.  gamma has one implementation,
+on arrays (``_gamma_values``); ``chi1``, ``chi1_scalar`` and
+``gamma_response`` read it at one frequency through one cache per
+(medium, |frequency|), which callers that know their frequencies fill in
+one batch (``_cache_gamma``), and ``reservoir_kernel`` reads the kernel
+the same way, uncached, so scalar values equal array values bitwise.
+The caches are kept per medium object (the static quadrature nodes per
+coupling object) and are dropped when it is collected.  Negative
+frequencies are folded by complex conjugation, so Hermitian analyticity
+holds bitwise.  ``kk_reconstruct`` is a row-chunked matrix form of the
+Kramers-Kronig sum.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,6 +52,7 @@ from .errors import (
     GridResolutionError,
     InputError,
     KernelSupportError,
+    NlmediumError,
     QuadratureError,
     ResponsePoleError,
 )
@@ -299,6 +308,9 @@ class Rank2Response:
 # allocator tends to map and unmap each temporary afresh, so page faults
 # take more time than the arithmetic.
 _CHUNK_ELEMENTS = 1 << 15
+# The cluster merge keeps about a dozen (rows x 48) temporaries alive at
+# once; a quarter of the element budget each keeps them below 1 MiB.
+_CLUSTER_ROWS = _CHUNK_ELEMENTS // 4 // 48
 _CLUSTER_STEPS = np.arange(24.0)
 _TINY = np.finfo(float).tiny
 
@@ -320,12 +332,48 @@ def _cluster(center, span, floor):
     return np.concatenate([center - offs[..., ::-1], center + offs], axis=-1)
 
 
-@lru_cache(maxsize=64)
+def _owner_cache(maxsize: int):
+    """Cache ``fn(owner, *args)`` per owner object, freed with the owner.
+
+    Entries are keyed by the identity of the owner (a medium, a coupling),
+    and a finalizer drops them when the owner is collected.  Before a new
+    entry is computed, the oldest go until fewer than ``maxsize`` remain.
+    ``entries(owner)`` of the cached function is the owner's dict, keyed
+    by argument tuple.
+    """
+
+    def decorate(fn):
+        tables = {}
+
+        def entries(owner) -> dict:
+            table = tables.get(id(owner))
+            if table is None:
+                table = tables[id(owner)] = {}
+                weakref.finalize(owner, tables.pop, id(owner))
+            return table
+
+        @functools.wraps(fn)
+        def cached(owner, *args):
+            table = entries(owner)
+            if args not in table:
+                while len(table) >= maxsize:
+                    del table[next(iter(table))]
+                table[args] = fn(owner, *args)
+            return table[args]
+
+        cached.entries = entries
+        return cached
+
+    return decorate
+
+
+@_owner_cache(maxsize=64)
 def _static_nodes(nu, upper: float, n_base: int = 1500):
     """Pole-independent quadrature nodes, shared by every target frequency.
 
-    Returns the nodes, their squares, the coupling values on them and the
-    half interval widths.
+    Returns the nodes, their squares, the coupling values on them, the
+    half interval widths and the trapezoid weights of the nodes
+    (``half_dx[k - 1] + half_dx[k]``).
     """
     floor = 1e-9 * upper
     parts = [np.linspace(0.0, upper, n_base)]
@@ -338,7 +386,9 @@ def _static_nodes(nu, upper: float, n_base: int = 1500):
         parts.append(_cluster(edge, span, floor))
     nodes = np.unique(np.concatenate(parts))
     nodes = nodes[(nodes >= 0.0) & (nodes <= upper)]
-    return nodes, nodes * nodes, np.asarray(nu.q(nodes), dtype=float), 0.5 * np.diff(nodes)
+    half = np.concatenate([[0.0], 0.5 * np.diff(nodes), [0.0]])
+    weights = half[:-1] + half[1:]
+    return nodes, nodes * nodes, np.asarray(nu.q(nodes), dtype=float), half[1:-1], weights
 
 
 def _pv_rows(nu, upper: float, w: np.ndarray, qw: np.ndarray) -> np.ndarray:
@@ -347,21 +397,34 @@ def _pv_rows(nu, upper: float, w: np.ndarray, qw: np.ndarray) -> np.ndarray:
     ``qw`` holds q(w).  Every row is a trapezoid sum over the shared static
     nodes merged with a 48-node geometric cluster around its own pole.  The
     pole is subtracted (q(x) -> q(x) - q(w)) and added back through the
-    closed-form primitive of 1/(x**2 - w**2).  Rows are computed
-    independently of each other, in chunks that bound the temporaries, so
-    a value does not depend on which other frequencies share the call.
+    closed-form primitive of 1/(x**2 - w**2).
+
+    The base sum of a row is one contraction of the integrand on the static
+    nodes with their trapezoid weights.  The cluster is merged by position,
+    not by sorting: each base interval that receives cluster nodes is
+    subtracted once from the base sum and the pieces it is cut into are
+    added instead.  A row thus sums the trapezoid terms of its merged node
+    list.  Base sums and cluster merges go in separate row chunks, sized
+    for their temporaries: a base row spans every static node, a cluster
+    row 48 nodes.  Rows are computed independently of each other, so a
+    value does not depend, to the bit, on which other frequencies share
+    the call.
     """
     nodes = _static_nodes(nu, upper)
-    step = max(1, _CHUNK_ELEMENTS // nodes[0].size)
+    x, x2, q, _, weights = nodes
+    runs = _pole_runs(x, w, 1e-13 * max(upper, 1.0))
+    step = max(1, _CHUNK_ELEMENTS // x.size)
     # one workspace for every chunk: fresh (rows x nodes) temporaries per
     # chunk let the allocator return and re-fault their pages each time
-    work = np.empty((3, min(step, w.size), nodes[0].size))
-    pv = np.concatenate(
-        [
-            _pv_chunk(nu, upper, w[i : i + step], qw[i : i + step], *nodes, work)
-            for i in range(0, w.size, step)
-        ]
-    )
+    work = np.empty((2, min(step, w.size), x.size))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pv = np.concatenate(
+            [_base_sums(x2, q, weights, w[i : i + step], qw[i : i + step], work) for i in range(0, w.size, step)]
+        )
+        step = _CLUSTER_ROWS
+        for i in range(0, w.size, step):
+            chunk_runs = [(k - i, a, b) for k, a, b in runs if i <= k < i + step]
+            _merge_clusters(nu, upper, nodes, w[i : i + step], qw[i : i + step], pv[i : i + step], chunk_runs)
     # PV int_0^U dx/(x^2-w^2) = ln((U-w)/(U+w)) / (2w)
     pv += qw * np.log((upper - w) / (upper + w)) / (2.0 * w)
     if not np.isfinite(pv).all():
@@ -369,56 +432,66 @@ def _pv_rows(nu, upper: float, w: np.ndarray, qw: np.ndarray) -> np.ndarray:
     return pv
 
 
-def _pv_chunk(nu, upper, w, qw, x, x2, q, half_dx, work):
-    """Trapezoid sums of the pole-subtracted integrand for one row chunk.
+def _base_sums(x2, q, weights, w, qw, work):
+    """Trapezoid sums of the pole-subtracted integrand on the static nodes.
 
-    The cluster is merged by position, not by sorting: a base interval that
-    receives cluster nodes drops out of the base sum and the pieces it is
-    cut into are added instead.  A row thus sums exactly the trapezoid
-    terms of its merged node list.  A base node within ``tol`` of the pole
-    is dropped from that list; cluster nodes keep at least ``floor`` from
-    the pole, which exceeds ``tol`` whenever ``upper > 1e-4``.  The
-    (rows x nodes) arrays live in ``work``, three buffers of at least
-    ``w.size`` rows.
+    The (rows x nodes) arrays live in ``work``, two buffers of at least
+    ``w.size`` rows.  The contraction is an ``einsum``, not a matrix
+    product: BLAS may sum a row in an order that depends on how many rows
+    share the call.
     """
+    den, f = work[:, : w.size]
+    f = np.divide(np.subtract(q, qw[:, None], out=f), np.subtract(x2, (w * w)[:, None], out=den), out=f)
+    return np.einsum("ij,j->i", f, weights)
+
+
+def _merge_clusters(nu, upper, nodes, w, qw, total, runs):
+    """Merge each row's pole cluster into its base sum ``total``, in place.
+
+    Base nodes within ``tol = 1e-13 * max(upper, 1)`` of a row's pole are
+    dropped from its merged node list: ``runs`` holds them as
+    ``(row, a, b)`` for x[a..b] (see ``_pole_runs``).  Cluster nodes keep
+    at least ``floor`` from the pole, which exceeds ``tol`` whenever
+    ``upper > 1e-4``.  The integrand on a
+    dropped node may be inf or nan, so the base sum of such a row is
+    contracted again, as in ``_base_sums``, with the run set to zero.
+    """
+    x, x2, q, half_dx, weights = nodes
     floor = 1e-9 * upper
-    tol = 1e-13 * max(upper, 1.0)
-    qw = qw[:, None]
-    w2 = (w * w)[:, None]
     span = 0.5 * np.minimum(w, upper - w)
     rows = np.flatnonzero(span > floor)
     r = rows[:, None]
-    num, den, f = work[:, : w.size]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f = np.divide(np.subtract(q, qw, out=num), np.subtract(x2, w2, out=den), out=f)
-        terms = np.multiply(half_dx, np.add(f[:, 1:], f[:, :-1], out=num[:, :-1]), out=num[:, :-1])
-        e = _cluster(w[rows], span[rows], floor)
-        g = (np.asarray(nu.q(e), dtype=float) - qw[rows]) / (e * e - w2[rows])
-        s = np.searchsorted(x, e, side="right")  # x[s - 1] <= e < x[s]
-        terms[r, s - 1] = 0.0
-        # cluster node k shares its base interval with node k - 1
-        same = s[:, 1:] == s[:, :-1]
-        prev_x = x[s - 1]
-        prev_x[:, 1:][same] = e[:, :-1][same]
-        prev_f = f[r, s - 1]
-        prev_f[:, 1:][same] = g[:, :-1][same]
-        left = (e - prev_x) * (g + prev_f) / 2.0
-        right = (x[s] - e) * (f[r, s] + g) / 2.0
-        right[:, :-1][same] = 0.0
-    bridge = np.zeros(w.size)
-    lo, hi = np.searchsorted(x, w + np.asarray([[-2.0 * tol], [2.0 * tol]]))
-    for i in np.flatnonzero(hi > lo):
-        near = lo[i] + np.flatnonzero(np.abs(x[lo[i] : hi[i]] - w[i]) <= tol)
-        if near.size == 0:
-            continue
-        a, b = near[0], near[-1]
-        # drop every term touching the run a..b, then bridge its merged
+    qr, w2r = qw[r], (w * w)[r]
+    e = _cluster(w[rows], span[rows], floor)
+    g = (np.asarray(nu.q(e), dtype=float) - qr) / (e * e - w2r)
+    s = np.searchsorted(x, e, side="right")  # x[s - 1] <= e < x[s]
+    # cluster node k shares its base interval with node k - 1
+    same = s[:, 1:] == s[:, :-1]
+    base_left = (q[s - 1] - qr) / (x2[s - 1] - w2r)
+    base_right = (q[s] - qr) / (x2[s] - w2r)
+    # each cut base interval leaves the base sum once, at its first node
+    cut = half_dx[s - 1] * (base_left + base_right)
+    cut[:, 1:][same] = 0.0
+    prev_x = x[s - 1]
+    prev_x[:, 1:][same] = e[:, :-1][same]
+    prev_f = base_left
+    prev_f[:, 1:][same] = g[:, :-1][same]
+    left = (e - prev_x) * (g + prev_f) / 2.0
+    right = (x[s] - e) * (base_right + g) / 2.0
+    right[:, :-1][same] = 0.0
+    for i, a, b in runs:
+        f = (q - qw[i]) / (x2 - w[i] * w[i])
+        f[a : b + 1] = 0.0
+        total[i] = np.einsum("ij,j->i", f[None, :], weights)[0]
+        # drop every interval touching the run a..b, then bridge its merged
         # neighbours; the innermost cluster nodes 23 and 24 straddle the run
-        terms[i, max(a - 1, 0) : b + 1] = 0.0
-        prev = (x[a - 1], f[i, a - 1]) if a > 0 else None
-        succ = (x[b + 1], f[i, b + 1]) if b + 1 < x.size else None
+        dropped = np.arange(max(a - 1, 0), min(b + 1, x.size - 1))
+        total[i] -= (half_dx[dropped] * (f[dropped] + f[dropped + 1])).sum()
+        prev = (x[a - 1], f[a - 1]) if a > 0 else None
+        succ = (x[b + 1], f[b + 1]) if b + 1 < x.size else None
         k = np.searchsorted(rows, i)
         if k < rows.size and rows[k] == i:
+            cut[k, (s[k] > dropped[0]) & (s[k] <= dropped[-1] + 1)] = 0.0
             if s[k, 23] == a:
                 prev = (e[k, 23], g[k, 23])
                 right[k, 23] = 0.0
@@ -426,10 +499,19 @@ def _pv_chunk(nu, upper, w, qw, x, x2, q, half_dx, work):
                 succ = (e[k, 24], g[k, 24])
                 left[k, 24] = 0.0
         if prev is not None and succ is not None:
-            bridge[i] = (succ[0] - prev[0]) * (succ[1] + prev[1]) / 2.0
-    total = terms.sum(axis=1) + bridge
-    total[rows] += (left + right).sum(axis=1)
-    return total
+            total[i] += (succ[0] - prev[0]) * (succ[1] + prev[1]) / 2.0
+    total[rows] += (left + right - cut).sum(axis=1)
+
+
+def _pole_runs(x, w, tol) -> list:
+    """``(row, a, b)`` for each row whose pole lies within ``tol`` of the nodes x[a..b]."""
+    runs = []
+    lo, hi = np.searchsorted(x, w + np.asarray([[-2.0 * tol], [2.0 * tol]]))
+    for i in np.flatnonzero(hi > lo):
+        near = lo[i] + np.flatnonzero(np.abs(x[lo[i] : hi[i]] - w[i]) <= tol)
+        if near.size:
+            runs.append((i, near[0], near[-1]))
+    return runs
 
 
 def _kernel(params: MediumParams, w: np.ndarray) -> np.ndarray:
@@ -494,10 +576,26 @@ def _gamma_values(params: MediumParams, omega) -> np.ndarray:
     return np.where(w < 0.0, gamma.conj(), gamma)
 
 
-@lru_cache(maxsize=1 << 16)
+@_owner_cache(maxsize=1 << 16)
 def _gamma_magnitude(params: MediumParams, omega: float) -> complex:
     """``_gamma_values`` at one frequency omega >= 0, cached per (medium, frequency)."""
     return complex(_gamma_values(params, np.asarray([omega]))[0])
+
+
+def _cache_gamma(params: MediumParams, omegas) -> None:
+    """Cache gamma at every |omega| of ``omegas`` with one kernel call.
+
+    Kernel rows are independent, so each cached value is bitwise the one a
+    single-frequency read would compute.  A batch that fails caches
+    nothing: the single-frequency reads then raise as they would have.
+    """
+    entries = _gamma_magnitude.entries(params)
+    todo = [w for w in np.unique(np.abs(np.asarray(omegas, dtype=float))).tolist() if (w,) not in entries]
+    try:
+        values = _gamma_values(params, np.asarray(todo, dtype=float))
+    except NlmediumError:
+        return
+    entries.update(((w,), value) for w, value in zip(todo, values.tolist()))
 
 
 def _gamma_scalar(params: MediumParams, omega: float) -> complex:

@@ -269,7 +269,7 @@ def pv_integral_per_point(nu, upper, w):
     within 1e-13 of the pole dropped, pole subtracted and added back in
     closed form.
     """
-    base_x, _, base_q, _ = _static_nodes(nu, upper)
+    base_x, _, base_q = _static_nodes(nu, upper)[:3]
     floor = 1e-9 * upper
     span = 0.5 * min(w, upper - w)
     extra = np.asarray([])

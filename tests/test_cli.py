@@ -8,10 +8,19 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import dumps_canonical_prepass, write_csv_per_cell
+from nlmedium import cli
 from nlmedium.cli import EXIT_BAD_JSON, EXIT_NUMERICS, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from nlmedium.medium import MediumParams, chi1_spectrum
 from nlmedium.nonlinear import chi3, lambda_from_config
-from nlmedium.serialize import _format_once, comb_from_obj, comb_to_obj, dumps_canonical, fmt_float, write_csv
+from nlmedium.serialize import (
+    _format_once,
+    comb_from_obj,
+    comb_to_obj,
+    dumps_canonical,
+    fmt_float,
+    load_json_file,
+    write_csv,
+)
 
 
 @pytest.fixture
@@ -377,6 +386,13 @@ class TestExitCodes:
         assert main(["--config", str(path), "chi1"]) == EXIT_VALIDATION
         assert f"config section {section!r} must be an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["3", "[1, 2]", '"medium"'])
+    def test_config_not_object(self, tmp_path, capsys, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert main(["--config", str(path), "chi1"]) == EXIT_VALIDATION
+        assert "config must be an object" in capsys.readouterr().err
+
     def test_threads_flag_removed(self, config_path):
         assert main(["--config", config_path, "--threads", "2", "wick-dump", "--order", "2"]) == EXIT_USAGE
 
@@ -546,3 +562,22 @@ class TestEntryPoints:
             assert main(["--out", str(out), "--seed", "7"] + argv + flags) == EXIT_OK
             written.append((out / name).read_bytes())
         assert written[0] == written[1]
+
+    def test_each_file_is_read_once(self, config_path, tmp_path, monkeypatch):
+        cfg = read_json(config_path)
+        medium, lam = tmp_path / "m.json", tmp_path / "l.json"
+        medium.write_text(json.dumps(cfg["medium"]))
+        lam.write_text(json.dumps(cfg["lambda"]))
+        reads = []
+
+        def counting_load(path):
+            reads.append(str(path))
+            return load_json_file(path)
+
+        monkeypatch.setattr(cli, "load_json_file", counting_load)
+        files = ["--medium", str(medium), "--lambda", str(lam)]
+        for config in ([], ["--config", config_path]):
+            reads.clear()
+            argv = ["--out", str(tmp_path / "out")] + config + ["duffing-compare", "--drive-freq", "0.24"] + files
+            assert main(argv) == EXIT_OK
+            assert sorted(reads) == sorted(config[1:] + [str(medium), str(lam)])

@@ -8,6 +8,7 @@ from nlmedium.errors import DysonPoleError, InputError, LoopConvergenceError, Pr
 from nlmedium.fieldspace import (
     LoopQuadrature,
     PlaneWaveContext,
+    _loop_windows,
     dyson_dress,
     mean_fields,
     photon_green,
@@ -243,6 +244,21 @@ class TestSelfEnergy:
 
 class TestFactoredLoop:
     """The factored loop against the per-node rank-4 contraction."""
+
+    @pytest.mark.parametrize("n, cutoff", [(8192, 12.0), (97, 0.75), (1023, 3.3)])
+    def test_windows_are_mirrored(self, n, cutoff):
+        windows = _loop_windows(LoopQuadrature(n, cutoff))
+        specs = [(cutoff, n), (cutoff, n // 2), (cutoff / 2.0, n // 2 + 1)]
+        for nodes, (half_width, count) in zip(windows, specs):
+            assert np.array_equal(nodes, -nodes[::-1])
+            if count % 2:
+                assert nodes[count // 2] == 0.0
+            # the spacing of the np.linspace window, to a few ulps
+            spacing = np.diff(np.linspace(-half_width, half_width, count))
+            assert np.max(np.abs(np.diff(nodes) - spacing)) <= 4.0 * np.spacing(half_width)
+        if n == 8192:
+            magnitudes = np.abs(np.concatenate(windows))
+            assert np.unique(magnitudes[magnitudes > 0.0]).size == 8191
 
     # the lossless window stays below the undamped resonance at W = omega0
     @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -16,10 +18,12 @@ from nlmedium.medium import (
     NuConstant,
     NuTabulated,
     Rank2Response,
+    _cache_gamma,
     _gamma_magnitude,
     _gamma_scalar,
     _gamma_values,
     _sigma_values,
+    _static_nodes,
     chi1,
     chi1_scalar,
     chi1_spectrum,
@@ -194,13 +198,47 @@ class TestGammaResponse:
         assert np.isfinite(g)
         assert g.imag > 0
 
-
     def test_both_signs_share_one_cache_entry(self, lossy):
-        _gamma_magnitude.cache_clear()
+        entries = _gamma_magnitude.entries(lossy)
+        entries.clear()
         for w in (0.7, -0.7, -2.5, 2.5, 0.0, -0.0):
             value = np.complex128(_gamma_scalar(lossy, w))
             assert value.tobytes() == _gamma_values(lossy, np.asarray([w]))[0].tobytes()
-        assert _gamma_magnitude.cache_info().currsize == 3
+        assert len(entries) == 3
+
+    def test_batch_fills_the_cache_with_one_frequency_values(self, smooth_lossy):
+        half = np.linspace(0.0, 3.0, 31)
+        omegas = np.concatenate([-half[::-1], half])
+        entries = _gamma_magnitude.entries(smooth_lossy)
+        entries.clear()
+        _cache_gamma(smooth_lossy, omegas)
+        assert len(entries) == 31
+        for w in omegas:
+            value = np.complex128(_gamma_scalar(smooth_lossy, w))
+            assert value.tobytes() == _gamma_values(smooth_lossy, np.asarray([w]))[0].tobytes()
+
+    def test_failed_batch_caches_nothing(self, lossless):
+        entries = _gamma_magnitude.entries(lossless)
+        entries.clear()
+        _cache_gamma(lossless, [0.5, lossless.omega0])
+        assert len(entries) == 0
+        assert np.isfinite(_gamma_scalar(lossless, 0.5))
+        with pytest.raises(ResponsePoleError, match="response pole hit"):
+            gamma_response(lossless, lossless.omega0)
+
+    @pytest.mark.parametrize("tabulated", [False, True])
+    def test_caches_are_freed_with_their_medium(self, tabulated):
+        grid = np.linspace(0.0, 8.0, 40)
+        nu = NuTabulated(grid, 0.1 * np.exp(-grid)) if tabulated else NuConstant(0.1, 7.5)
+        medium = MediumParams(omega0=1.0, chi_s=1.0, alpha=0.5, rho=0.2, nu=nu, loop_cutoff=20.0)
+        gamma_response(medium, 0.7)
+        _cache_gamma(medium, [0.3, -0.4])
+        assert len(_gamma_magnitude.entries(medium)) == 3
+        assert len(_static_nodes.entries(nu)) == 1
+        refs = [weakref.ref(medium), weakref.ref(nu)]
+        del medium, nu
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
 
 class TestChi1:

@@ -17,6 +17,7 @@ from conftest import chi3_two_permutation, kk_reconstruct_loop, naive_displaceme
 from nlmedium.displacement import FrequencyComb, displacement
 from nlmedium.errors import GridResolutionError, InputError, MillerRatioError, ResponsePoleError
 from nlmedium.medium import (
+    _CHUNK_ELEMENTS,
     MediumParams,
     NuConstant,
     NuTabulated,
@@ -77,12 +78,18 @@ def media_and_grids(draw):
 
 
 @SETTINGS
-@given(media_and_grids())
-def test_batched_sigma_equals_one_row_path(case):
+@given(media_and_grids(), st.booleans())
+def test_batched_sigma_equals_one_row_path(case, long):
+    # a row's value does not depend on which frequencies share the call,
+    # also when the grid spans several row chunks
     medium, grid = case
+    if long:
+        rows_per_chunk = _CHUNK_ELEMENTS // _static_nodes(medium.nu, medium.loop_cutoff)[0].size
+        spread = np.linspace(0.0, medium.loop_cutoff, 2 * rows_per_chunk + 7, endpoint=False)[1:]
+        grid = np.concatenate([grid, spread, -spread[::3]])
     batched = _sigma_values(medium, grid)
     one_row = np.asarray([reservoir_kernel(medium, w)[0, 0] for w in grid])
-    assert np.all(np.abs(batched - one_row) <= 1e-14 * np.abs(one_row))
+    assert batched.tobytes() == one_row.tobytes()
     assert np.all(batched[grid == 0.0] == 0.0)
 
 
