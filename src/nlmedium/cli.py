@@ -8,8 +8,8 @@ commands that read the response at many frequencies (``chi3``,
 ``propagators``, ``dyson``) first evaluate it at all of them in one
 kernel call.  Each command hands the values the library returns to one
 writer call: arrays and complex values go to the JSON encoder as they
-are, and CSV cells are formatted once per distinct number
-(``serialize``).
+are, and CSV numbers are formatted once per distinct value in each block
+of rows (``serialize``).
 
 Exit codes: 0 success, 2 validation error (including a missing or
 malformed config value), 3 numerical-convergence error, 64 usage error
@@ -47,7 +47,7 @@ from .medium import (
     kk_reconstruct,
 )
 from .nonlinear import chi3, lambda_from_config
-from .serialize import _format_once, comb_from_obj, comb_to_obj, load_json_file, write_csv, write_json
+from .serialize import comb_from_obj, comb_to_obj, load_json_file, write_csv, write_json
 
 __all__ = ["RunConfig", "run", "main", "COMMANDS"]
 
@@ -172,17 +172,10 @@ def _emit_csv(config: RunConfig, name: str, freq_names, freqs: np.ndarray, value
     """Rows (freqs..., component, re, im), one per sample and component.
 
     ``freqs`` holds the frequencies named ``freq_names`` and ``values`` the
-    complex components, one row per sample; each distinct number is
-    formatted once.
+    complex components, one row per sample.
     """
-    lead, count = len(freq_names), len(components)
-    cells = _format_once(np.hstack([freqs, values.real, values.imag]))
-    # generators: write_csv reads the rows once, and no list of all rows is kept
-    rows = (
-        (*row[:lead], comp, row[lead + c], row[lead + count + c]) for row in cells for c, comp in enumerate(components)
-    )
     path = _out_path(config, name)
-    write_csv(path, (*freq_names, "component", "re", "im"), rows)
+    write_csv(path, (*freq_names, "component", "re", "im"), freqs, values, components)
     return [path]
 
 

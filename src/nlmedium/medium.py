@@ -423,7 +423,8 @@ def _pv_rows(nu, upper: float, w: np.ndarray, qw: np.ndarray) -> np.ndarray:
         )
         step = _CLUSTER_ROWS
         for i in range(0, w.size, step):
-            chunk_runs = [(k - i, a, b) for k, a, b in runs if i <= k < i + step]
+            k = slice(*np.searchsorted(runs[0], [i, i + step]))
+            chunk_runs = (runs[0][k] - i, runs[1][k], runs[2][k])
             _merge_clusters(nu, upper, nodes, w[i : i + step], qw[i : i + step], pv[i : i + step], chunk_runs)
     # PV int_0^U dx/(x^2-w^2) = ln((U-w)/(U+w)) / (2w)
     pv += qw * np.log((upper - w) / (upper + w)) / (2.0 * w)
@@ -436,25 +437,35 @@ def _base_sums(x2, q, weights, w, qw, work):
     """Trapezoid sums of the pole-subtracted integrand on the static nodes.
 
     The (rows x nodes) arrays live in ``work``, two buffers of at least
-    ``w.size`` rows.  The contraction is an ``einsum``, not a matrix
-    product: BLAS may sum a row in an order that depends on how many rows
-    share the call.
+    ``w.size`` rows.  Each buffer is first filled with its row column
+    (q(w), w**2), which is then subtracted in place from the node vector:
+    numpy subtracts two full-size operands several times faster than it
+    broadcasts a per-row scalar, and the bits are the same.  The
+    contraction is an ``einsum``, not a matrix product: BLAS may sum a row
+    in an order that depends on how many rows share the call.
     """
+    return np.einsum("ij,j->i", _integrand(x2, q, w, qw, work), weights)
+
+
+def _integrand(x2, q, w, qw, work):
+    """(q(x) - q(w)) / (x**2 - w**2) on the static nodes, one row per w, in ``work[1]``."""
     den, f = work[:, : w.size]
-    f = np.divide(np.subtract(q, qw[:, None], out=f), np.subtract(x2, (w * w)[:, None], out=den), out=f)
-    return np.einsum("ij,j->i", f, weights)
+    np.copyto(f, qw[:, None])
+    np.copyto(den, (w * w)[:, None])
+    return np.divide(np.subtract(q, f, out=f), np.subtract(x2, den, out=den), out=f)
 
 
 def _merge_clusters(nu, upper, nodes, w, qw, total, runs):
     """Merge each row's pole cluster into its base sum ``total``, in place.
 
     Base nodes within ``tol = 1e-13 * max(upper, 1)`` of a row's pole are
-    dropped from its merged node list: ``runs`` holds them as
-    ``(row, a, b)`` for x[a..b] (see ``_pole_runs``).  Cluster nodes keep
+    dropped from its merged node list: ``runs`` holds them as arrays
+    ``(rows, a, b)`` for x[a..b] (see ``_pole_runs``).  Cluster nodes keep
     at least ``floor`` from the pole, which exceeds ``tol`` whenever
     ``upper > 1e-4``.  The integrand on a
-    dropped node may be inf or nan, so the base sum of such a row is
-    contracted again, as in ``_base_sums``, with the run set to zero.
+    dropped node may be inf or nan, so the base sums of all such rows are
+    contracted again in one ``einsum``, as in ``_base_sums``, with each
+    row's run set to zero.
     """
     x, x2, q, half_dx, weights = nodes
     floor = 1e-9 * upper
@@ -479,39 +490,56 @@ def _merge_clusters(nu, upper, nodes, w, qw, total, runs):
     left = (e - prev_x) * (g + prev_f) / 2.0
     right = (x[s] - e) * (base_right + g) / 2.0
     right[:, :-1][same] = 0.0
-    for i, a, b in runs:
-        f = (q - qw[i]) / (x2 - w[i] * w[i])
-        f[a : b + 1] = 0.0
-        total[i] = np.einsum("ij,j->i", f[None, :], weights)[0]
+    i, a, b = runs
+    if i.size:
         # drop every interval touching the run a..b, then bridge its merged
         # neighbours; the innermost cluster nodes 23 and 24 straddle the run
-        dropped = np.arange(max(a - 1, 0), min(b + 1, x.size - 1))
-        total[i] -= (half_dx[dropped] * (f[dropped] + f[dropped + 1])).sum()
-        prev = (x[a - 1], f[a - 1]) if a > 0 else None
-        succ = (x[b + 1], f[b + 1]) if b + 1 < x.size else None
+        f = _integrand(x2, q, w[i], qw[i], np.empty((2, i.size, x.size)))
+        cols = np.arange(x.size)
+        f[(cols >= a[:, None]) & (cols <= b[:, None])] = 0.0
+        total[i] = np.einsum("ij,j->i", f, weights)
+        # the dropped base intervals are lo..hi-1; rows of one length sum as one array
+        lo, hi = np.maximum(a - 1, 0), np.minimum(b + 1, x.size - 1)
+        dropped = np.empty(i.size)
+        for m in np.unique(hi - lo).tolist():
+            sel = np.flatnonzero(hi - lo == m)
+            j = lo[sel, None] + np.arange(m)
+            dropped[sel] = (half_dx[j] * (f[sel[:, None], j] + f[sel[:, None], j + 1])).sum(axis=1)
+        total[i] -= dropped
+        # the bridge runs from node lo (or cluster node 23) to node hi (or 24)
+        has_lo, has_hi = a > 0, b + 1 < x.size
+        lo_x, lo_f = x[lo], f[np.arange(i.size), lo]
+        hi_x, hi_f = x[hi], f[np.arange(i.size), hi]
         k = np.searchsorted(rows, i)
-        if k < rows.size and rows[k] == i:
-            cut[k, (s[k] > dropped[0]) & (s[k] <= dropped[-1] + 1)] = 0.0
-            if s[k, 23] == a:
-                prev = (e[k, 23], g[k, 23])
-                right[k, 23] = 0.0
-            if s[k, 24] == b + 1:
-                succ = (e[k, 24], g[k, 24])
-                left[k, 24] = 0.0
-        if prev is not None and succ is not None:
-            total[i] += (succ[0] - prev[0]) * (succ[1] + prev[1]) / 2.0
+        clustered = np.flatnonzero(k < rows.size)
+        clustered = clustered[rows[k[clustered]] == i[clustered]]
+        k = k[clustered]
+        cut[k] = np.where((s[k] > lo[clustered, None]) & (s[k] <= hi[clustered, None]), 0.0, cut[k])
+        hit = s[k, 23] == a[clustered]
+        inner, k_hit = clustered[hit], k[hit]
+        lo_x[inner], lo_f[inner], has_lo[inner] = e[k_hit, 23], g[k_hit, 23], True
+        right[k_hit, 23] = 0.0
+        hit = s[k, 24] == b[clustered] + 1
+        inner, k_hit = clustered[hit], k[hit]
+        hi_x[inner], hi_f[inner], has_hi[inner] = e[k_hit, 24], g[k_hit, 24], True
+        left[k_hit, 24] = 0.0
+        both = has_lo & has_hi
+        total[i[both]] += (hi_x[both] - lo_x[both]) * (hi_f[both] + lo_f[both]) / 2.0
     total[rows] += (left + right - cut).sum(axis=1)
 
 
-def _pole_runs(x, w, tol) -> list:
-    """``(row, a, b)`` for each row whose pole lies within ``tol`` of the nodes x[a..b]."""
-    runs = []
+def _pole_runs(x, w, tol):
+    """Arrays ``(rows, a, b)``: each row, ascending, whose pole lies within ``tol`` of the nodes x[a..b]."""
     lo, hi = np.searchsorted(x, w + np.asarray([[-2.0 * tol], [2.0 * tol]]))
-    for i in np.flatnonzero(hi > lo):
-        near = lo[i] + np.flatnonzero(np.abs(x[lo[i] : hi[i]] - w[i]) <= tol)
-        if near.size:
-            runs.append((i, near[0], near[-1]))
-    return runs
+    rows = np.flatnonzero(hi > lo)
+    if rows.size == 0:  # the usual case, and most of the cost of a one-row call
+        return rows, rows, rows
+    # a row's candidates x[lo..hi-1], padded to the widest row
+    cand = lo[rows, None] + np.arange(max((hi - lo).max(initial=0), 1))
+    near = (cand < hi[rows, None]) & (np.abs(x[np.minimum(cand, x.size - 1)] - w[rows, None]) <= tol)
+    hit = near.any(axis=1)
+    first, last = near.argmax(axis=1), near.shape[1] - 1 - near[:, ::-1].argmax(axis=1)
+    return rows[hit], cand[hit, first[hit]], cand[hit, last[hit]]
 
 
 def _kernel(params: MediumParams, w: np.ndarray) -> np.ndarray:

@@ -10,9 +10,11 @@ Artifacts are written in one pass from the values the library returns.
 ``dumps_canonical`` hands its object to ``json.dumps`` as it is: floats,
 ``np.float64`` included, print through ``float.__repr__``, and a hook
 converts only what ``json`` cannot encode (complex values, other numpy
-scalars, arrays).  ``write_csv`` writes cells that are already text;
-``_format_once`` makes them from an array of numbers, formatting each
-distinct bit pattern once (so ``-0.0`` keeps its sign).
+scalars, arrays).  ``write_csv`` takes arrays of numbers and writes them
+in blocks of ``_CSV_BLOCK_ROWS`` sample rows: each distinct bit pattern
+of a block is formatted once (so ``-0.0`` keeps its sign), and the
+block's text is one ``%``-format of a template that holds every line of
+a sample.
 """
 
 from __future__ import annotations
@@ -39,20 +41,11 @@ def fmt_float(x) -> str:
     return "%.17g" % float(x)
 
 
-def _format_once(values):
-    """``fmt_float`` text of a 2-d array, one list of cells per row.
-
-    Each distinct bit pattern is formatted once: a response that is a
-    scalar times I repeats a handful of values over many cells.  The key
-    is the bit pattern, not the value, because ``-0.0 == 0.0`` prints
-    ``-0``.  Rows are made as they are read.
-    """
-    texts = {}
-    for row in np.ascontiguousarray(values, dtype=float):
-        yield [
-            texts[b] if b in texts else texts.setdefault(b, fmt_float(x))
-            for x, b in zip(row.tolist(), row.view(np.uint64).tolist())
-        ]
+# Sample rows per CSV block.  Each block costs one ``np.unique`` and one
+# ``%``-format, and its numbers, cells and text are alive together: a few
+# hundred rows amortise the calls, and the 4096-point chi1.csv peaks at
+# 0.38 MB (tracemalloc) against 5.5 MB for the whole table in one block.
+_CSV_BLOCK_ROWS = 256
 
 
 def _json_default(obj):
@@ -76,11 +69,32 @@ def write_json(path, obj) -> None:
         fh.write(dumps_canonical(obj))
 
 
-def write_csv(path, header, rows) -> None:
-    """Write the header and the rows, read once from any iterable; every cell is already text."""
+def write_csv(path, header, lead, values, components) -> None:
+    """Write ``header``, then a line (lead..., component, re, im) per sample and component.
+
+    ``lead`` holds one row of real numbers per sample, ``values`` one row of
+    complex numbers, labelled by ``components``.  Every number prints as
+    ``fmt_float``.  Each distinct bit pattern of a block of samples is
+    formatted once: a response that is a scalar times I repeats a handful
+    of values over many cells.  The key is the bit pattern, not the value,
+    because ``-0.0 == 0.0`` prints ``-0``.
+    """
+    lead = np.asarray(lead, dtype=float)
+    values = np.asarray(values, dtype=complex)
+    n_lead, count = lead.shape[1], len(components)
+    # the column of each number of a sample's lines: lead, re and im per line
+    slots = np.ravel([[*range(n_lead), n_lead + c, n_lead + count + c] for c in range(count)])
+    template = "".join("%s," * n_lead + comp.replace("%", "%%") + ",%s,%s\n" for comp in components)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        for start in range(0, lead.shape[0], _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            numbers = np.hstack([lead[block], values[block].real, values[block].imag])
+            # 1-d input: the inverse is 1-d on every numpy >= 2.0
+            bits, cells = np.unique(numbers.view(np.uint64).ravel(), return_inverse=True)
+            texts = np.array([fmt_float(x) for x in bits.view(float).tolist()], dtype=object)
+            cells = cells.reshape(numbers.shape)[:, slots]
+            fh.write((template * numbers.shape[0]) % tuple(texts[cells].ravel().tolist()))
 
 
 def load_json_file(path):

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,12 +10,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import dumps_canonical_prepass, write_csv_per_cell
-from nlmedium import cli
+from nlmedium import cli, serialize
 from nlmedium.cli import EXIT_BAD_JSON, EXIT_NUMERICS, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from nlmedium.medium import MediumParams, chi1_spectrum
 from nlmedium.nonlinear import chi3, lambda_from_config
 from nlmedium.serialize import (
-    _format_once,
     comb_from_obj,
     comb_to_obj,
     dumps_canonical,
@@ -452,6 +453,27 @@ _SCALARS = st.one_of(
         st.sampled_from([np.float64, np.complex128, np.int64]), hnp.array_shapes(min_dims=0, max_dims=2, max_side=3)
     ),
 )
+# NaN with a payload and with the sign bit set: distinct bit patterns of nan
+_NANS = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(np.float64).tolist()
+
+
+@st.composite
+def _csv_tables(draw):
+    """(lead, values, components) for ``write_csv``, drawn from a small pool of numbers."""
+    pool = draw(st.lists(st.one_of(_FLOATS, st.sampled_from(_NANS)), min_size=1, max_size=6))
+    samples, n_lead, count = draw(st.integers(0, 9)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def numbers(*shape):
+        cells = draw(st.lists(st.sampled_from(pool), min_size=math.prod(shape), max_size=math.prod(shape)))
+        return np.asarray(cells, dtype=float).reshape(shape)
+
+    values = np.empty((samples, count), dtype=complex)
+    # set the parts one by one: re + 1j * im would turn inf into nan
+    values.real, values.imag = numbers(samples, count), numbers(samples, count)
+    components = draw(st.lists(st.text("01%x", min_size=1, max_size=3), min_size=count, max_size=count))
+    return numbers(samples, n_lead), values, components
+
+
 _OBJECTS = st.recursive(
     _SCALARS,
     lambda inner: st.one_of(
@@ -471,17 +493,44 @@ class TestWriterAgainstReference:
     def test_json_matches_prepass(self, obj):
         assert dumps_canonical(obj) == dumps_canonical_prepass(obj)
 
-    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6), elements=_FLOATS))
+    @given(_csv_tables(), st.integers(1, 4))
     @settings(max_examples=300, deadline=None)
-    def test_csv_matches_per_cell(self, tmp_path_factory, values):
+    def test_csv_matches_per_cell(self, tmp_path_factory, table, block_rows):
+        # blocks of one to four samples, so that tables split into several
+        # blocks and equal numbers recur within and across them
+        lead, values, components = table
         out = tmp_path_factory.mktemp("csv")
-        header = [f"c{j}" for j in range(values.shape[1])]
-        write_csv(out / "new.csv", header, _format_once(values))
-        write_csv_per_cell(out / "ref.csv", header, values)
+        header = [f"f{j}" for j in range(lead.shape[1])] + ["component", "re", "im"]
+        with mock.patch.object(serialize, "_CSV_BLOCK_ROWS", block_rows):
+            write_csv(out / "new.csv", header, lead, values, components)
+        rows = [
+            (*lead[s], comp, values[s, c].real, values[s, c].imag)
+            for s in range(lead.shape[0])
+            for c, comp in enumerate(components)
+        ]
+        write_csv_per_cell(out / "ref.csv", header, rows)
         assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
 
-    def test_signed_zeros_keep_their_sign(self):
-        assert list(_format_once([[0.0, -0.0, 0.0]])) == [["0", "-0", "0"]]
+    def test_signed_zeros_keep_their_sign(self, tmp_path):
+        values = np.zeros((2, 1), dtype=complex)
+        values.real, values.imag = [[-0.0], [0.0]], [[0.0], [-0.0]]
+        write_csv(tmp_path / "z.csv", ["w", "component", "re", "im"], [[0.0], [-0.0]], values, ["00"])
+        assert (tmp_path / "z.csv").read_text() == "w,component,re,im\n0,00,-0,0\n-0,00,0,-0\n"
+
+    def test_chi1_csv_peak_memory(self, tmp_path, smooth_lossy):
+        # tracemalloc peak of writing the 4096-point chi1.csv: 2,663,000 B
+        # with the generator writer that formatted the whole table in one
+        # pass; the block writer must stay within that plus 10%
+        grid = np.linspace(0.0, 20.0, 4096)
+        values = chi1_spectrum(smooth_lossy, grid).values.reshape(grid.size, 9)
+        header = ("omega", "component", "re", "im")
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "chi1.csv", header, grid[:, None], values, cli._COMPONENTS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 2_663_000
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_chi1_and_chi3_artifacts(self, config_path, tmp_path, fmt):

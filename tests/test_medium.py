@@ -158,6 +158,17 @@ class TestReservoirKernel:
         got = _sigma_values(lossy, grid)
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
 
+    def test_grid_on_the_static_nodes(self, lossy):
+        # every pole sits on a static node, so every row drops its run of
+        # nodes and is contracted again, all rows of a chunk in one einsum
+        x = _static_nodes(lossy.nu, lossy.loop_cutoff)[0]
+        grid = x[(x > 0.0) & (x < lossy.loop_cutoff)]
+        got = _sigma_values(lossy, grid)
+        one_row = np.asarray([reservoir_kernel(lossy, w)[0, 0] for w in grid])
+        assert got.tobytes() == one_row.tobytes()
+        ref = np.asarray([sigma_per_point(lossy, w) for w in grid])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
+
     def test_support_error_on_any_grid_point(self, lossy):
         with pytest.raises(KernelSupportError, match="frequency outside kernel support"):
             chi1_spectrum(lossy, np.asarray([0.5, 1.0, -30.0]))

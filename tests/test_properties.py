@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import chi3_two_permutation, kk_reconstruct_loop, naive_displacement_line
 from nlmedium.displacement import FrequencyComb, displacement
@@ -21,6 +22,7 @@ from nlmedium.medium import (
     MediumParams,
     NuConstant,
     NuTabulated,
+    _base_sums,
     _gamma_values,
     _sigma_values,
     _static_nodes,
@@ -91,6 +93,22 @@ def test_batched_sigma_equals_one_row_path(case, long):
     one_row = np.asarray([reservoir_kernel(medium, w)[0, 0] for w in grid])
     assert batched.tobytes() == one_row.tobytes()
     assert np.all(batched[grid == 0.0] == 0.0)
+
+
+@SETTINGS
+@given(st.data())
+def test_base_sums_are_one_contraction_of_the_integrand(data):
+    # the buffers are filled with the row columns before the subtractions;
+    # the bits are those of the broadcast form
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    nodes, rows = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 8))
+    x2, q, weights = (data.draw(hnp.arrays(np.float64, nodes, elements=finite)) for _ in range(3))
+    w, qw = (data.draw(hnp.arrays(np.float64, rows, elements=finite)) for _ in range(2))
+    work = np.empty((2, rows + data.draw(st.integers(0, 3)), nodes))
+    with np.errstate(all="ignore"):
+        got = _base_sums(x2, q, weights, w, qw, work)
+        ref = np.einsum("ij,j->i", (q - qw[:, None]) / (x2 - (w * w)[:, None]), weights)
+    assert got.tobytes() == ref.tobytes()
 
 
 @SETTINGS
