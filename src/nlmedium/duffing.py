@@ -17,7 +17,12 @@ against both the harmonic-balance reference and the comb-path prediction.
 The ladder does not wait for transients to decay.  Each rung's steady
 state is the fixed point of the one-period RK4 map, found by shooting
 (``_periodic_orbit``), and its harmonics and energy balance are read over
-that one period.  ``simulate`` and the period map share one RK4 core.
+that one period.  ``simulate`` and the period map share one RK4 core,
+``_rk4``.  It steps Python floats whatever the caller passes: numpy
+scalar arithmetic costs about twice as much and gives the same bits.
+Its amplitude guard also trips on a NaN amplitude, and an overflowing
+one raises ``DivergenceError`` too, so a run that leaves the
+floating-point range fails instead of returning NaN samples.
 """
 
 from __future__ import annotations
@@ -95,8 +100,15 @@ def _rk4(params: DuffingParams, dt: float, n_steps: int, x: float, v: float, kee
     """The one fixed-step RK4 core: ``n_steps`` steps of ``dt`` from t = 0.
 
     Returns the samples from step ``keep_from`` on, the final state
-    included.  The amplitude guard aborts when |x| exceeds
-    1e6 * F0 / omega0**2 (skipped for an undriven oscillator).
+    included.  The start state is converted to Python floats first: the
+    loop is scalar arithmetic, which costs about twice as much on numpy
+    scalars (the shooting solve passes ``np.float64`` components), and
+    the two give the same bits.
+
+    The amplitude guard aborts with ``DivergenceError`` unless
+    |x| <= 1e6 * F0 / omega0**2 after every step (no bound for an
+    undriven oscillator), so an x that turns NaN trips it; an x**3 that
+    overflows raises ``DivergenceError`` as well.
     """
     w0sq = params.omega0**2
     gam = params.gamma_damp
@@ -108,28 +120,32 @@ def _rk4(params: DuffingParams, dt: float, n_steps: int, x: float, v: float, kee
     def acc(t, x, v):
         return f0 * math.cos(wd * t) - gam * v - w0sq * x - eta * x**3
 
+    x, v = float(x), float(v)
     ts, xs, vs = [], [], []
     t = 0.0
-    for step in range(n_steps + 1):
-        if step >= keep_from:
-            ts.append(t)
-            xs.append(x)
-            vs.append(v)
-        if step == n_steps:
-            break
-        a1 = acc(t, x, v)
-        k1x, k1v = v, a1
-        k2x = v + 0.5 * dt * k1v
-        k2v = acc(t + 0.5 * dt, x + 0.5 * dt * k1x, k2x)
-        k3x = v + 0.5 * dt * k2v
-        k3v = acc(t + 0.5 * dt, x + 0.5 * dt * k2x, k3x)
-        k4x = v + dt * k3v
-        k4v = acc(t + dt, x + dt * k3x, k4x)
-        x = x + dt * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
-        v = v + dt * (k1v + 2 * k2v + 2 * k3v + k4v) / 6.0
-        t += dt
-        if abs(x) > guard:
-            raise DivergenceError("driven beyond perturbative regime")
+    try:
+        for step in range(n_steps + 1):
+            if step >= keep_from:
+                ts.append(t)
+                xs.append(x)
+                vs.append(v)
+            if step == n_steps:
+                break
+            a1 = acc(t, x, v)
+            k1x, k1v = v, a1
+            k2x = v + 0.5 * dt * k1v
+            k2v = acc(t + 0.5 * dt, x + 0.5 * dt * k1x, k2x)
+            k3x = v + 0.5 * dt * k2v
+            k3v = acc(t + 0.5 * dt, x + 0.5 * dt * k2x, k3x)
+            k4x = v + dt * k3v
+            k4v = acc(t + dt, x + dt * k3x, k4x)
+            x = x + dt * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
+            v = v + dt * (k1v + 2 * k2v + 2 * k3v + k4v) / 6.0
+            t += dt
+            if not abs(x) <= guard:
+                raise DivergenceError("driven beyond perturbative regime")
+    except OverflowError:
+        raise DivergenceError("amplitude overflowed") from None
     return Trajectory(t=np.asarray(ts), x=np.asarray(xs), v=np.asarray(vs))
 
 
@@ -161,8 +177,8 @@ def _periodic_orbit(params: DuffingParams, spp: int, z0) -> Trajectory:
     stale J.  The steps stop when max|P(z) - z| <= 1e-13 max|x| over the
     period.  Returns the samples of that last period; raises
     ``RegimeError`` after 12 steps without convergence, or when a chord
-    step lands where the run trips the amplitude guard.  A trip from the
-    start ``z0`` stays ``DivergenceError``.
+    step lands where the run trips the amplitude guard or overflows.  A
+    ``DivergenceError`` from the start ``z0`` stays one.
     """
     wd = params.drive_freq
     dt = 2.0 * math.pi / wd / spp

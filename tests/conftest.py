@@ -10,6 +10,7 @@ from nlmedium.displacement import FrequencyComb
 from nlmedium.duffing import (
     CompareReport,
     DuffingParams,
+    Trajectory,
     _displacement_thg_ratio,
     _energy_balance,
     duffing_from_medium,
@@ -17,7 +18,7 @@ from nlmedium.duffing import (
     perturbative_reference,
     simulate,
 )
-from nlmedium.errors import InputError, LoopConvergenceError, RegimeError, StepSizeError
+from nlmedium.errors import DivergenceError, InputError, LoopConvergenceError, RegimeError, StepSizeError
 from nlmedium.fieldspace import PlaneWaveContext, SelfEnergyResult, photon_green, vertex
 from nlmedium.medium import (
     MediumParams,
@@ -374,6 +375,49 @@ def self_energy_per_node(medium, lam, omega, quadrature):
     if scale > 0.0 and disc > 0.1 * scale:
         raise LoopConvergenceError("loop integral not converged at this cutoff")
     return SelfEnergyResult(value=full, error_estimate=disc + tail, discretization_error=disc, tail_error=tail)
+
+
+def rk4_reference(params, dt, n_steps, x, v, keep_from):
+    """Reference fixed-step RK4 core, written stage by stage.
+
+    Same contract as ``duffing._rk4`` for runs that stay bounded: one
+    ``acc`` call per stage, with the drive evaluated at each stage's own
+    time (four cosines per step), and the state kept in whatever scalar
+    type the caller passes.  The amplitude guard is ``abs(x) > guard``.
+    """
+    w0sq = params.omega0**2
+    gam = params.gamma_damp
+    eta = params.eta
+    f0 = params.drive_amp
+    wd = params.drive_freq
+    guard = 1e6 * f0 / w0sq if f0 > 0 else math.inf
+
+    def acc(t, x, v):
+        return f0 * math.cos(wd * t) - gam * v - w0sq * x - eta * x**3
+
+    ts, xs, vs = [], [], []
+    t = 0.0
+    for step in range(n_steps + 1):
+        if step >= keep_from:
+            ts.append(t)
+            xs.append(x)
+            vs.append(v)
+        if step == n_steps:
+            break
+        a1 = acc(t, x, v)
+        k1x, k1v = v, a1
+        k2x = v + 0.5 * dt * k1v
+        k2v = acc(t + 0.5 * dt, x + 0.5 * dt * k1x, k2x)
+        k3x = v + 0.5 * dt * k2v
+        k3v = acc(t + 0.5 * dt, x + 0.5 * dt * k2x, k3x)
+        k4x = v + dt * k3v
+        k4v = acc(t + dt, x + dt * k3x, k4x)
+        x = x + dt * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
+        v = v + dt * (k1v + 2 * k2v + 2 * k3v + k4v) / 6.0
+        t += dt
+        if abs(x) > guard:
+            raise DivergenceError("driven beyond perturbative regime")
+    return Trajectory(t=np.asarray(ts), x=np.asarray(xs), v=np.asarray(vs))
 
 
 def compare_chi3_long_run(

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import compare_chi3_long_run
+from conftest import compare_chi3_long_run, rk4_reference
 from nlmedium.duffing import (
     DuffingParams,
     _drive_ladder,
     _energy_balance,
+    _rk4,
     compare_chi3,
     duffing_from_medium,
     harmonic_amplitudes,
@@ -63,6 +66,19 @@ class TestSimulate:
         p = DuffingParams(omega0=1.0, gamma_damp=0.0, eta=-5.0, drive_amp=5.0, drive_freq=0.9)
         with pytest.raises(DivergenceError, match="driven beyond perturbative regime"):
             simulate(p, 4000.0, 0.02)
+
+    def test_undriven_overflow_is_divergence(self):
+        # softening and undriven: no amplitude bound, so the run goes on
+        # until x**3 overflows
+        p = DuffingParams(omega0=1.0, gamma_damp=0.0, eta=-1.0, drive_amp=0.0, drive_freq=0.3)
+        with pytest.raises(DivergenceError):
+            simulate(p, 50.0, 0.01, x0=5.0)
+
+    @pytest.mark.parametrize("x0", [np.float64(1e120), 1e120, math.nan, np.float64(math.nan), math.inf])
+    def test_far_or_nan_start_is_divergence(self, weak_drive, x0):
+        dt, _ = step_for(weak_drive)
+        with pytest.raises(DivergenceError):
+            _rk4(weak_drive, dt, 10, x0, 0.0, 0)
 
     def test_step_validation(self, weak_drive):
         with pytest.raises(InputError):
@@ -230,3 +246,68 @@ class TestPeriodicOrbit:
             compare_chi3_long_run(oracle_medium, lam, drive_freq=0.24, base_amp=3.0)
         with pytest.raises(RegimeError, match="periodic orbit did not converge"):
             compare_chi3(oracle_medium, lam, drive_freq=0.24, base_amp=3.0)
+
+    def test_far_chord_step_is_nonconvergence(self, oracle_medium, lam, monkeypatch):
+        # a chord step that lands where x**3 overflows is the solve
+        # failing: RegimeError, not an OverflowError out of compare_chi3
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.array([-1e200, 0.0]))
+        with pytest.raises(RegimeError, match="periodic orbit did not converge"):
+            compare_chi3(oracle_medium, lam, drive_freq=0.24, ladder=5)
+
+
+class TestCoreOracle:
+    """``_rk4`` against the stage-by-stage reference core, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        omega0=st.floats(0.2, 3.0),
+        gamma=st.floats(0.0, 1.0),
+        eta=st.floats(-2.0, 2.0),
+        drive_amp=st.one_of(st.just(0.0), st.floats(1e-4, 2.0)),
+        drive_freq=st.floats(0.1, 3.0),
+        step_share=st.floats(0.01, 1.0, exclude_max=True),
+        n_steps=st.integers(0, 300),
+        keep_share=st.floats(0.0, 1.0),
+        x0=st.floats(-3.0, 3.0),
+        v0=st.floats(-3.0, 3.0),
+        numpy_start=st.booleans(),
+    )
+    def test_matches_reference_bitwise(
+        self, omega0, gamma, eta, drive_amp, drive_freq, step_share, n_steps, keep_share, x0, v0, numpy_start
+    ):
+        p = DuffingParams(omega0=omega0, gamma_damp=gamma, eta=eta, drive_amp=drive_amp, drive_freq=drive_freq)
+        dt = step_share * 0.05 / max(omega0, drive_freq)
+        keep_from = int(keep_share * n_steps)
+        if numpy_start:
+            x0, v0 = np.float64(x0), np.float64(v0)
+        try:
+            with np.errstate(all="ignore"):
+                ref = rk4_reference(p, dt, n_steps, x0, v0, keep_from)
+        except (DivergenceError, OverflowError):
+            ref = None
+        if ref is None or not all(np.all(np.isfinite(a)) for a in (ref.t, ref.x, ref.v)):
+            # the reference tripped its guard, overflowed or ran to inf/NaN
+            with pytest.raises(DivergenceError):
+                _rk4(p, dt, n_steps, x0, v0, keep_from)
+            return
+        got = _rk4(p, dt, n_steps, x0, v0, keep_from)
+        for name in ("t", "x", "v"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+
+    @pytest.mark.parametrize("drive_freq", [0.2, 0.223, 0.25])
+    def test_ladder_matches_reference_core(self, oracle_medium, drive_freq, monkeypatch):
+        import nlmedium.duffing as duffing
+        from nlmedium.nonlinear import lambda_isotropic
+
+        lam = lambda_isotropic(0.05, 0.08, 0.05)
+        results = []
+        for core in (duffing._rk4, rk4_reference):
+            monkeypatch.setattr(duffing, "_rk4", core)
+            _, rungs = _drive_ladder(oracle_medium, lam, drive_freq, 5, None, 160)
+            report = compare_chi3(oracle_medium, lam, drive_freq, ladder=5)
+            results.append((report.to_dict(), [orbit for _, orbit in rungs]))
+        (got, got_orbits), (want, want_orbits) = results
+        assert got == want
+        for orbit, ref in zip(got_orbits, want_orbits, strict=True):
+            for name in ("t", "x", "v"):
+                assert getattr(orbit, name).tobytes() == getattr(ref, name).tobytes()
