@@ -34,19 +34,19 @@ from .fieldspace import (
     LoopQuadrature,
     PlaneWaveContext,
     _self_energy_sweep,
+    _tree_propagators,
     dyson_dress,
-    tree_propagators,
 )
 from .medium import (
     MediumParams,
     NuZero,
-    _cache_gamma,
     _config_value,
+    _gamma_list,
     _reject_unknown_keys,
     chi1_spectrum,
     kk_reconstruct,
 )
-from .nonlinear import chi3, lambda_from_config
+from .nonlinear import _chi3_values, lambda_from_config
 from .serialize import comb_from_obj, comb_to_obj, load_json_file, write_csv, write_json
 
 __all__ = ["RunConfig", "run", "main", "COMMANDS"]
@@ -192,8 +192,7 @@ def _cmd_chi3(config: RunConfig, args) -> list:
     lam = _need_lambda(config)
     quadruples = config.quadruples or [(w, w, w) for w in config.omega_grid if w != 0.0]
     freqs = [(w1 - w2 + w3, w1, w2, w3) for w1, w2, w3 in quadruples]
-    _cache_gamma(config.medium, np.ravel(freqs))
-    tensors = [chi3(config.medium, lam, w, w1, w2, w3).reshape(-1) for w, w1, w2, w3 in freqs]
+    tensors = [tensor.reshape(-1) for tensor in _chi3_values(config.medium, lam, freqs)]
     if config.out_format == "json":
         samples = [
             {"w": w, "w1": w1, "w2": w2, "w3": w3, "chi3": tensor} for (w, w1, w2, w3), tensor in zip(freqs, tensors)
@@ -223,18 +222,19 @@ def _cmd_kk_check(config: RunConfig, args) -> list:
 def _propagator_samples(medium: MediumParams, k_values, omega_grid, dress) -> list:
     """One JSON sample per (k, omega != 0).
 
-    ``dress(omega, g0)`` maps the tree propagators to the propagators
-    written as the four blocks, plus the sample's other keys.
+    ``dress(omega, gamma, g0)`` maps the tree propagators to the
+    propagators written as the four blocks, plus the sample's other keys.
+    gamma is evaluated on the whole grid at once, and not at all outside a
+    medium (g = 0), where it is None.
     """
-    _cache_gamma(medium, omega_grid)
+    omegas = [float(w) for w in omega_grid if w != 0.0]
+    gammas = _gamma_list(medium, omegas) if medium.g and len(k_values) else [None] * len(omegas)
     samples = []
     for k in k_values:
-        for w in omega_grid:
-            if w == 0.0:
-                continue
-            ctx = PlaneWaveContext(k=float(k), polarization=_POLARIZATION, omega=float(w))
-            g, extra = dress(float(w), tree_propagators(medium, ctx))
-            sample = {"omega": float(w), "k": float(k), "AA": g.aa, "AX": g.ax, "XA": g.xa, "XX": g.xx}
+        for w, gam in zip(omegas, gammas):
+            ctx = PlaneWaveContext(k=float(k), polarization=_POLARIZATION, omega=w)
+            g, extra = dress(w, gam, _tree_propagators(medium, ctx, gam))
+            sample = {"omega": w, "k": float(k), "AA": g.aa, "AX": g.ax, "XA": g.xa, "XX": g.xx}
             samples.append(sample | extra)
     return samples
 
@@ -248,7 +248,7 @@ def _cmd_propagators(config: RunConfig, args) -> list:
         except ValueError:
             raise InputError("--omega-grid expects start:stop:n") from None
     k_values = config.k_values if not args.k_values else np.asarray(args.k_values, dtype=float)
-    samples = _propagator_samples(config.medium, k_values, omega_grid, lambda w, g0: (g0, {}))
+    samples = _propagator_samples(config.medium, k_values, omega_grid, lambda w, gam, g0: (g0, {}))
     return _emit_json(config, "propagators.json", {"seed": config.seed, "samples": samples})
 
 
@@ -262,8 +262,8 @@ def _cmd_dyson(config: RunConfig, args) -> list:
     # the self-energy does not depend on k, and the loop integrals not on w
     pi_at = _self_energy_sweep(config.medium, lam, quad)
 
-    def dress(w, g0):
-        pi = pi_at(w)
+    def dress(w, gam, g0):
+        pi = pi_at(w, gam)
         dressed = dyson_dress(g0, pi.value)
         chosen = dressed.single if mode == "single" else dressed.resummed
         return chosen, {"mode": mode, "self_energy": pi.value, "error_estimate": pi.error_estimate}

@@ -29,7 +29,8 @@ any host.
 The evaluation is split in two.  A plan depends only on the line
 frequencies and the tolerance: it enumerates the terms, merges their
 output frequencies within tolerance into output lines and dresses each
-frequency key's coupling once.  Its evaluation takes B amplitude sets
+frequency key's coupling once, with gamma at the lines and at every key
+from one kernel call.  Its evaluation takes B amplitude sets
 (B, n, 3) at once and gives (B, 3) per output line; every term is
 computed element by element and each line is summed exactly, so a
 probe's result does not depend on its batch, and conjugate-closed inputs
@@ -48,8 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, StepSizeError
-from .medium import MediumParams, _gamma_scalar
-from .nonlinear import _check_energy, lambda0_tensor, validate_pairwise_symmetry
+from .medium import MediumParams, _gamma_list
+from .nonlinear import _check_energy, _dress, validate_pairwise_symmetry
 
 __all__ = [
     "FrequencyComb",
@@ -181,30 +182,34 @@ class _CombPlan:
         self.medium = medium
         self.tolerance = tolerance
         contributions = {}  # fsum-canonical frequency -> (linear, channel A, channel B) terms
-        # frequency key -> alpha**4 * lambda0, dressed once per key
-        tensor = functools.cache(lambda *key: medium.alpha**4 * lambda0_tensor(lam, medium, *key))
+        keys = {}  # frequency key -> its index, in the order met
 
         def terms(w_out: float):
             return contributions.setdefault(w_out, ([], [], []))
 
         for i, w in enumerate(freqs):
-            gam = _gamma_scalar(medium, float(w)) if medium.g else None
-            terms(math.fsum((w,)))[0].append((i, gam))
+            terms(math.fsum((w,)))[0].append(i)
 
         if np.any(lam) and medium.g != 0:
             for j, wj in enumerate(freqs):
                 for k, wk in enumerate(freqs):
                     for l, wl in enumerate(freqs):
                         out_a = math.fsum((wj, wk, -wl))
-                        terms(out_a)[1].append((tensor(wj, out_a, wk, wl), j, k, l))
+                        terms(out_a)[1].append((keys.setdefault((wj, out_a, wk, wl), len(keys)), j, k, l))
                         out_b = math.fsum((wj, -wk, wl))
-                        terms(out_b)[2].append((tensor(wj, wk, wl, out_b), j, k, l))
+                        terms(out_b)[2].append((keys.setdefault((wj, wk, wl, out_b), len(keys)), j, k, l))
 
-        # merge frequency keys that agree within tolerance; the representative
+        # gamma at every line and at the four slots of every frequency key,
+        # from one kernel call; each key is dressed once
+        n = len(freqs)
+        gammas = _gamma_list(medium, [*freqs, *itertools.chain(*keys)]) if medium.g else [None] * n
+        tensors = [medium.alpha**4 * _dress(lam, medium.g, gammas[i : i + 4]) for i in range(n, len(gammas), 4)]
+
+        # merge output frequencies that agree within tolerance; the representative
         # with the largest magnitude keeps mirrored clusters exactly opposite
-        keys = sorted(contributions)
-        clusters = [[keys[0]]]
-        for w in keys[1:]:
+        outputs = sorted(contributions)
+        clusters = [[outputs[0]]]
+        for w in outputs[1:]:
             if w - clusters[-1][-1] <= tolerance:
                 clusters[-1].append(w)
             else:
@@ -212,6 +217,8 @@ class _CombPlan:
         self.groups = []
         for cluster in clusters:
             linear, chan_a, chan_b = ([t for w in cluster for t in contributions[w][c]] for c in range(3))
+            linear = [(i, gammas[i]) for i in linear]
+            chan_a, chan_b = ([(tensors[t], j, k, l) for t, j, k, l in chan] for chan in (chan_a, chan_b))
             self.groups.append((max(cluster, key=abs), linear, (chan_a, chan_b)))
 
     def evaluate(self, index: int, amps: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DysonPoleError, InputError, LoopConvergenceError, PropagatorPoleError
 from .medium import MediumParams, _gamma_scalar, _gamma_values
-from .nonlinear import lambda0_tensor
+from .nonlinear import _dress
 
 __all__ = [
     "PlaneWaveContext",
@@ -104,21 +104,26 @@ class MeanField:
         object.__setattr__(self, "m_prime", mp)
 
 
-def _kernel_terms(medium: MediumParams, ctx: PlaneWaveContext) -> list:
-    """The terms of K_tot(w, k): vacuum, transverse and, inside a medium, matter."""
+def _gamma_at(medium: MediumParams, omega: float) -> complex | None:
+    """gamma(omega) inside a medium; outside one (g = 0) nothing reads it, and it is not evaluated."""
+    return _gamma_scalar(medium, float(omega)) if medium.g else None
+
+
+def _kernel_terms(medium: MediumParams, ctx: PlaneWaveContext, gam) -> list:
+    """The terms of K_tot(w, k), with ``gam = gamma(w)``: vacuum, transverse and, inside a medium, matter."""
     w = ctx.omega
     terms = [
         medium.eps0 * w**2 * np.eye(3, dtype=complex),
         -(ctx.k**2 / medium.mu0) * transverse_projector(ctx.k),
     ]
     if medium.g:
-        terms.append(-(medium.g * w**2 * medium.alpha**2 * _gamma_scalar(medium, float(w)) * np.eye(3)))
+        terms.append(-(medium.g * w**2 * medium.alpha**2 * gam * np.eye(3)))
     return terms
 
 
 def total_kernel(medium: MediumParams, ctx: PlaneWaveContext) -> np.ndarray:
     """Quadratic photon kernel K_tot(w, k), 3x3 complex."""
-    return sum(_kernel_terms(medium, ctx))
+    return sum(_kernel_terms(medium, ctx, _gamma_at(medium, ctx.omega)))
 
 
 def photon_green(medium: MediumParams, ctx: PlaneWaveContext) -> np.ndarray:
@@ -132,7 +137,12 @@ def photon_green(medium: MediumParams, ctx: PlaneWaveContext) -> np.ndarray:
     a kernel that is small only because w and k are (w**2 eps(w) I near
     w = 0) is not a pole.
     """
-    terms = _kernel_terms(medium, ctx)
+    return _photon_green(medium, ctx, _gamma_at(medium, ctx.omega))
+
+
+def _photon_green(medium: MediumParams, ctx: PlaneWaveContext, gam) -> np.ndarray:
+    """``photon_green`` with ``gam = gamma(w)`` given."""
+    terms = _kernel_terms(medium, ctx, gam)
     kernel = sum(terms)
     scale = sum(np.abs(term) for term in terms)
     if ctx.k == 0.0:
@@ -189,12 +199,16 @@ def tree_propagators(medium: MediumParams, ctx: PlaneWaveContext) -> PropagatorM
     scalar combination of D and I, and G0_AX = G0_XA.  The matter and
     mixing blocks vanish outside the medium (g = 0).
     """
-    d = photon_green(medium, ctx)
+    return _tree_propagators(medium, ctx, _gamma_at(medium, ctx.omega))
+
+
+def _tree_propagators(medium: MediumParams, ctx: PlaneWaveContext, gam) -> PropagatorMatrix:
+    """``tree_propagators`` with ``gam = gamma(w)`` given."""
+    d = _photon_green(medium, ctx, gam)
     if medium.g == 0:
         zero = np.zeros((3, 3), dtype=complex)
         return PropagatorMatrix(aa=d, ax=zero, xa=zero.copy(), xx=zero.copy())
     w = ctx.omega
-    gam = _gamma_scalar(medium, float(w))
     a = medium.alpha
     xx = gam * np.eye(3) + a**2 * w**2 * (gam * gam * d)
     mixing = a * w * (gam * d)
@@ -296,18 +310,19 @@ def _loop_integrals(medium: MediumParams, quadrature: LoopQuadrature) -> tuple:
     m = medium.eps0 - medium.g * medium.alpha**2 * gam
     if np.any(m == 0.0):
         # W**2 D(W, 0) has a pole on a node: the matter block is singular
-        raise np.linalg.LinAlgError("Singular matrix")
+        node = float(absw[np.argmax(m == 0.0)])
+        raise PropagatorPoleError(f"k = 0 photon kernel singular at loop node |W| = {node!r}")
     s = (medium.g * (gam + medium.alpha**2 * (gam * (gam / m))))[inverse]
     parts = np.split(s, np.cumsum([nodes.size for nodes in windows[:-1]]))
     return tuple(np.trapezoid(part, nodes) / (2.0 * np.pi) for part, nodes in zip(parts, windows))
 
 
-def _loop_vertex(medium: MediumParams, lam: np.ndarray, omega: float) -> np.ndarray:
-    """Partial trace V_abbg of the four-point vertex at the external frequency."""
+def _loop_vertex(medium: MediumParams, lam: np.ndarray, omega: float, gam) -> np.ndarray:
+    """Partial trace V_abbg of the four-point vertex at the external frequency, ``gam = gamma(omega)``."""
     pol = np.array([1.0, 0.0, 0.0])
     ctx_ext = PlaneWaveContext(k=0.0, polarization=pol, omega=float(omega))
-    lam0 = lambda0_tensor(lam, medium, omega, omega, omega, omega)
-    d_ext = photon_green(medium, ctx_ext)
+    lam0 = _dress(lam, medium.g, (gam,) * 4)
+    d_ext = _photon_green(medium, ctx_ext, gam)
     return np.einsum("abbg->ag", vertex(lam0, medium.alpha, omega, d_ext))
 
 
@@ -327,18 +342,18 @@ def _self_energy_from(trace: np.ndarray, integrals: tuple) -> SelfEnergyResult:
 
 
 def _self_energy_sweep(medium: MediumParams, lam: np.ndarray, quadrature: LoopQuadrature):
-    """``omega -> self_energy(medium, lam, omega, quadrature)`` for one sweep.
+    """``(omega, gamma(omega)) -> self_energy(medium, lam, omega, quadrature)`` for one sweep.
 
     The window integrals are evaluated at the first call and the
     self-energy once per frequency; both live only as long as the
-    returned function.
+    returned function.  Outside a medium (g = 0) gamma is not read.
     """
     integrals = []
     known = {}
 
-    def at(omega: float) -> SelfEnergyResult:
+    def at(omega: float, gam) -> SelfEnergyResult:
         if omega not in known:
-            trace = _loop_vertex(medium, lam, omega)
+            trace = _loop_vertex(medium, lam, omega, gam)
             if not integrals:
                 integrals.extend(_loop_integrals(medium, quadrature))
             known[omega] = _self_energy_from(trace, integrals)
@@ -373,8 +388,11 @@ def self_energy(
     discretization term alone exceeds 10% of the value magnitude; the
     window term is reported but does not gate, so deliberately narrow
     diagnostic windows (e.g. below an undamped resonance) stay usable.
+    A loop node on a zero of ``eps0 - g alpha**2 Gamma(W)``, where the
+    k = 0 photon kernel W**2 (eps0 - g alpha**2 Gamma) is singular, raises
+    ``PropagatorPoleError`` naming the node.
     """
-    return _self_energy_sweep(medium, lam, quadrature)(omega)
+    return _self_energy_sweep(medium, lam, quadrature)(omega, _gamma_at(medium, omega))
 
 
 @dataclass(frozen=True)

@@ -27,23 +27,19 @@ pole-subtracted integrand with fixed trapezoid weights; the row's pole
 cluster is then merged in.  Rows are independent bitwise: a value does not
 depend on which other frequencies share the call.  ``chi1_spectrum``
 evaluates a whole grid with one such call.  gamma has one implementation,
-on arrays (``_gamma_values``); ``chi1``, ``chi1_scalar`` and
-``gamma_response`` read it at one frequency through one cache per
-(medium, |frequency|), which callers that know their frequencies fill in
-one batch (``_cache_gamma``), and ``reservoir_kernel`` reads the kernel
-the same way, uncached, so scalar values equal array values bitwise.
-The caches are kept per medium object (the static quadrature nodes per
-coupling object) and are dropped when it is collected.  Negative
-frequencies are folded by complex conjugation, so Hermitian analyticity
-holds bitwise.  ``kk_reconstruct`` is a row-chunked matrix form of the
-Kramers-Kronig sum.
+on arrays (``_gamma_values``).  Nothing is cached: a caller that needs
+gamma at many frequencies asks for all of them in one call, and
+``chi1``, ``chi1_scalar``, ``gamma_response`` and ``reservoir_kernel``
+evaluate a one-element array, so scalar values equal array values
+bitwise.  The static quadrature nodes are built once per kernel call.
+Negative frequencies are folded by complex conjugation, so Hermitian
+analyticity holds bitwise.  ``kk_reconstruct`` is a row-chunked matrix
+form of the Kramers-Kronig sum.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +48,6 @@ from .errors import (
     GridResolutionError,
     InputError,
     KernelSupportError,
-    NlmediumError,
     QuadratureError,
     ResponsePoleError,
 )
@@ -122,8 +117,9 @@ class NuTabulated:
     """Coupling sampled on an ascending frequency grid.
 
     ``|nu|**2`` is interpolated linearly between samples and is zero
-    outside the tabulated range.  Identity semantics (``eq=False``) keep the
-    instance hashable for quadrature-node caching.
+    outside the tabulated range.  Identity semantics (``eq=False``): a
+    table equals only itself, which keeps it, and a medium holding it,
+    hashable; numpy fields have no single truth value to compare by.
     """
 
     grid: np.ndarray
@@ -332,44 +328,8 @@ def _cluster(center, span, floor):
     return np.concatenate([center - offs[..., ::-1], center + offs], axis=-1)
 
 
-def _owner_cache(maxsize: int):
-    """Cache ``fn(owner, *args)`` per owner object, freed with the owner.
-
-    Entries are keyed by the identity of the owner (a medium, a coupling),
-    and a finalizer drops them when the owner is collected.  Before a new
-    entry is computed, the oldest go until fewer than ``maxsize`` remain.
-    ``entries(owner)`` of the cached function is the owner's dict, keyed
-    by argument tuple.
-    """
-
-    def decorate(fn):
-        tables = {}
-
-        def entries(owner) -> dict:
-            table = tables.get(id(owner))
-            if table is None:
-                table = tables[id(owner)] = {}
-                weakref.finalize(owner, tables.pop, id(owner))
-            return table
-
-        @functools.wraps(fn)
-        def cached(owner, *args):
-            table = entries(owner)
-            if args not in table:
-                while len(table) >= maxsize:
-                    del table[next(iter(table))]
-                table[args] = fn(owner, *args)
-            return table[args]
-
-        cached.entries = entries
-        return cached
-
-    return decorate
-
-
-@_owner_cache(maxsize=64)
 def _static_nodes(nu, upper: float, n_base: int = 1500):
-    """Pole-independent quadrature nodes, shared by every target frequency.
+    """Pole-independent quadrature nodes, shared by every row of one kernel call.
 
     Returns the nodes, their squares, the coupling values on them, the
     half interval widths and the trapezoid weights of the nodes
@@ -586,11 +546,11 @@ def reservoir_kernel(params: MediumParams, omega: float) -> np.ndarray:
 def _gamma_values(params: MediumParams, omega) -> np.ndarray:
     """Composite response gamma on a frequency array, with one kernel call.
 
-    The one implementation of gamma; scalar callers read it through the
-    cache of ``_gamma_scalar``.  The static limit ``gamma(0) = eps0 chi_s``
-    is exact, and negative frequencies are folded by conjugation.  A pole
-    is a denominator below 1e-14 of its static value omega0**2, a test
-    that does not depend on the unit of frequency.
+    The one implementation of gamma; ``_gamma_scalar`` reads it at one
+    frequency and ``_gamma_list`` at many.  The static limit
+    ``gamma(0) = eps0 chi_s`` is exact, and negative frequencies are folded
+    by conjugation.  A pole is a denominator below 1e-14 of its static
+    value omega0**2, a test that does not depend on the unit of frequency.
     """
     w = np.asarray(omega, dtype=float)
     a = np.abs(w)
@@ -604,36 +564,19 @@ def _gamma_values(params: MediumParams, omega) -> np.ndarray:
     return np.where(w < 0.0, gamma.conj(), gamma)
 
 
-@_owner_cache(maxsize=1 << 16)
-def _gamma_magnitude(params: MediumParams, omega: float) -> complex:
-    """``_gamma_values`` at one frequency omega >= 0, cached per (medium, frequency)."""
+def _gamma_scalar(params: MediumParams, omega: float) -> complex:
+    """``_gamma_values`` at one frequency, bitwise, as a Python complex."""
     return complex(_gamma_values(params, np.asarray([omega]))[0])
 
 
-def _cache_gamma(params: MediumParams, omegas) -> None:
-    """Cache gamma at every |omega| of ``omegas`` with one kernel call.
+def _gamma_list(params: MediumParams, omegas) -> list:
+    """``_gamma_values`` at each of ``omegas``, as Python complex values.
 
-    Kernel rows are independent, so each cached value is bitwise the one a
-    single-frequency read would compute.  A batch that fails caches
-    nothing: the single-frequency reads then raise as they would have.
+    One kernel call covers the distinct frequencies; a frequency that
+    occurs several times is evaluated once.
     """
-    entries = _gamma_magnitude.entries(params)
-    todo = [w for w in np.unique(np.abs(np.asarray(omegas, dtype=float))).tolist() if (w,) not in entries]
-    try:
-        values = _gamma_values(params, np.asarray(todo, dtype=float))
-    except NlmediumError:
-        return
-    entries.update(((w,), value) for w, value in zip(todo, values.tolist()))
-
-
-def _gamma_scalar(params: MediumParams, omega: float) -> complex:
-    """``_gamma_values`` at one frequency, bitwise.
-
-    The cache holds |omega|; omega < 0 is conjugated, the fold that
-    ``_gamma_values`` applies, so both signs share one entry.
-    """
-    value = _gamma_magnitude(params, abs(omega))
-    return value.conjugate() if omega < 0.0 else value
+    distinct, inverse = np.unique(np.asarray(omegas, dtype=float), return_inverse=True)
+    return _gamma_values(params, distinct)[inverse].tolist()
 
 
 def gamma_response(params: MediumParams, omega: float) -> np.ndarray:

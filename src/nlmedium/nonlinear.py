@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnergyConservationError, InputError, MillerRatioError
-from .medium import MediumParams, _config_value, _gamma_scalar, _reject_unknown_keys, chi1_scalar
+from .medium import MediumParams, _config_value, _gamma_list, _reject_unknown_keys, chi1_scalar
 
 __all__ = [
     "lambda_isotropic",
@@ -97,6 +97,31 @@ def _table_entries(entries) -> np.ndarray:
     return np.asarray([complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v) for v in entries])
 
 
+def _dress(lam: np.ndarray, g: int, gammas) -> np.ndarray:
+    """lambda0 from the composite responses of its four slots.
+
+    The factor (g**4/4!) gamma1 gamma2 gamma3 gamma4 is multiplied up in
+    slot order on the Python complex values ``gammas``, so its bits do not
+    depend on how many frequencies shared the kernel call.  Outside a
+    medium (g = 0) lambda0 is zero and ``gammas`` is not read.
+    """
+    if g == 0:
+        return np.zeros((3, 3, 3, 3), dtype=complex)
+    factor = g**4 / _FACT4
+    for gam in gammas:
+        factor = factor * gam
+    return factor * np.asarray(lam, dtype=complex)
+
+
+def _lambda0_values(lam: np.ndarray, medium: MediumParams, keys) -> list:
+    """``lambda0_tensor`` at each frequency key (w1, w2, w3, w4), with one kernel call for all keys.
+
+    Outside a medium (g = 0) no gamma is evaluated.
+    """
+    gammas = _gamma_list(medium, np.reshape(keys, -1)) if medium.g else [None] * (4 * len(keys))
+    return [_dress(lam, medium.g, gammas[i : i + 4]) for i in range(0, len(gammas), 4)]
+
+
 def lambda0_tensor(lam: np.ndarray, medium: MediumParams, w1, w2, w3, w4) -> np.ndarray:
     """Quartic coupling dressed by four composite-response factors.
 
@@ -104,12 +129,7 @@ def lambda0_tensor(lam: np.ndarray, medium: MediumParams, w1, w2, w3, w4) -> np.
     isotropic (G = gamma I) form of
     (g**4/4!) lam[r,s,x,g] G_ar(w1) G_bs(w2) G_mx(w3) G_ng(w4).
     """
-    if medium.g == 0:
-        return np.zeros((3, 3, 3, 3), dtype=complex)
-    factor = medium.g**4 / _FACT4
-    for w in (w1, w2, w3, w4):
-        factor = factor * _gamma_scalar(medium, float(w))
-    return factor * np.asarray(lam, dtype=complex)
+    return _lambda0_values(lam, medium, [(w1, w2, w3, w4)])[0]
 
 
 @dataclass(frozen=True)
@@ -156,6 +176,14 @@ def _check_energy(w, w1, w2, w3) -> None:
         raise EnergyConservationError("energy conservation violated")
 
 
+def _chi3_values(medium: MediumParams, lam: np.ndarray, quadruples) -> list:
+    """``chi3`` at each (w, w1, w2, w3) of ``quadruples``, with one kernel call for all of them."""
+    for quad in quadruples:
+        _check_energy(*quad)
+    lam0s = _lambda0_values(lam, medium, [(w1, w2, w3, w) for w, w1, w2, w3 in quadruples])
+    return [medium.alpha**4 / (32.0 * medium.eps0) * (lam0 + lam0.transpose(0, 3, 2, 1)) for lam0 in lam0s]
+
+
 def chi3(medium: MediumParams, lam: np.ndarray, w, w1, w2, w3) -> np.ndarray:
     """Third-order susceptibility chi3(w; w1, w2, w3), rank-4 complex.
 
@@ -164,9 +192,7 @@ def chi3(medium: MediumParams, lam: np.ndarray, w, w1, w2, w3) -> np.ndarray:
     frequencies (w1, w2, w3, w); since ``chi1 = g Gamma / eps0``, this is
     the two-permutation form of the module docstring.
     """
-    _check_energy(w, w1, w2, w3)
-    lam0 = lambda0_tensor(lam, medium, w1, w2, w3, w)
-    return medium.alpha**4 / (32.0 * medium.eps0) * (lam0 + lam0.transpose(0, 3, 2, 1))
+    return _chi3_values(medium, lam, [(w, w1, w2, w3)])[0]
 
 
 def miller_ratio(medium: MediumParams, lam: np.ndarray, w, w1, w2, w3) -> np.ndarray:

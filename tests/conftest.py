@@ -25,6 +25,7 @@ from nlmedium.medium import (
     NuConstant,
     NuTabulated,
     NuZero,
+    _gamma_values,
     _static_nodes,
     chi1,
     gamma_response,
@@ -124,12 +125,17 @@ def cubic_terms_by_definition(tensors, x, y, z):
 
 
 def dressing(medium, lam):
-    """``alpha**4 * lambda0_tensor`` per frequency key, each key dressed once."""
+    """``alpha**4 * lambda0_tensor`` per frequency key, each key dressed once.
+
+    ``dressed.gamma(w)`` is the scalar ``gamma_response`` at a line
+    frequency, likewise evaluated once per frequency.
+    """
 
     @functools.cache
     def dressed(*key):
         return medium.alpha**4 * lambda0_tensor(lam, medium, *key)
 
+    dressed.gamma = functools.cache(lambda w: gamma_response(medium, w)[0, 0])
     return dressed
 
 
@@ -141,7 +147,7 @@ def displacement_per_triple(comb, medium, lam, dressed=None):
     frequency in a dict, keys merged within tolerance with the
     largest-magnitude representative, one ``math.fsum`` per component of
     each output line.  ``dressed`` (see ``dressing``) lets the per-probe
-    extractors below share dressed tensors across calls.
+    extractors below share dressed tensors and line responses across calls.
     """
     dressed = dressed if dressed is not None else dressing(medium, lam)
     contributions = {}
@@ -153,7 +159,7 @@ def displacement_per_triple(comb, medium, lam, dressed=None):
         linear = np.empty(3, dtype=complex)
         linear.real, linear.imag = medium.eps0 * a.real, medium.eps0 * a.imag
         if medium.g:
-            gam = gamma_response(medium, float(w))[0, 0]
+            gam = dressed.gamma(float(w))
             linear.real += gam.real * a.real - gam.imag * a.imag
             linear.imag += gam.real * a.imag + gam.imag * a.real
         add(math.fsum((w,)), linear)
@@ -341,16 +347,18 @@ def kk_reconstruct_loop(freq_grid, im_part):
     return re
 
 
-def _internal_xx(medium, omega):
-    """Time-ordered tree matter block at k = 0 as a 3x3 matrix, one node."""
-    gam = gamma_response(medium, abs(omega))
+def _internal_xx(medium, gam):
+    """Time-ordered tree matter block at k = 0 as a 3x3 matrix, one node with response ``gam``."""
     m = medium.eps0 * np.eye(3, dtype=complex) - medium.g * medium.alpha**2 * gam
     return medium.g * (gam + medium.alpha**2 * (gam @ np.linalg.solve(m, gam)))
 
 
 def _loop_trapezoid(medium, vert, cutoff, n_points):
     nodes = np.linspace(-cutoff, cutoff, n_points)
-    samples = np.asarray([np.einsum("abmg,bm->ag", vert, _internal_xx(medium, float(om))) for om in nodes])
+    # Gamma(|W|) at every node from one kernel call: rows are bitwise
+    # independent of their batch, so each equals gamma_response(medium, |W|)
+    gammas = [np.diag(np.full(3, gam)) for gam in _gamma_values(medium, np.abs(nodes))]
+    samples = np.asarray([np.einsum("abmg,bm->ag", vert, _internal_xx(medium, gam)) for gam in gammas])
     return np.trapezoid(samples, nodes, axis=0) / (2.0 * np.pi)
 
 

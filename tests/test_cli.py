@@ -296,6 +296,22 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         assert main(["--config", str(path), "chi1"]) == EXIT_NUMERICS
 
+    def test_loop_node_on_matter_pole(self, tmp_path, capsys):
+        # eps0 - g alpha**2 Gamma(W) vanishes at the loop node W = 0.5, where
+        # the k = 0 photon kernel W**2 * m is singular
+        cfg = {
+            "medium": {"omega0": 1, "chi_s": 3, "alpha": 0.5, "rho": 1, "nu": {"type": "zero"}, "loop_cutoff": 30},
+            "lambda": {"isotropic": [0.25, 0.4, 0.35]},
+            "grids": {"omega": {"start": 0.1, "stop": 0.3, "n": 3}},
+            "loop": {"n_points": 97, "cutoff": 0.75},
+            "outputs": {"dir": str(tmp_path / "out")},
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "dyson"]) == EXIT_NUMERICS
+        err = capsys.readouterr().err
+        assert err == "error: k = 0 photon kernel singular at loop node |W| = 0.5\n"
+
     @pytest.mark.parametrize(
         "section, key",
         [("medium", "omgea0"), ("grids", "omgea"), ("loop", "n_point"), ("drive", "frq"), ("outputs", "fromat")],

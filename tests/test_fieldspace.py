@@ -306,7 +306,7 @@ class TestFactoredLoop:
         lam = lambda_isotropic(0.25, 0.4, 0.35)
         with pytest.raises(np.linalg.LinAlgError):
             self_energy_per_node(medium, lam, 0.9, quad)
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(PropagatorPoleError, match=r"loop node \|W\| = 0\.5$"):
             self_energy(medium, lam, 0.9, quad)
 
 

@@ -1,11 +1,14 @@
-import gc
+import json
 import math
-import weakref
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import sigma_per_point
+from nlmedium import cli, fieldspace, nonlinear
+from nlmedium import medium as medium_module
+from nlmedium.displacement import FrequencyComb, displacement
 from nlmedium.errors import (
     GridResolutionError,
     InputError,
@@ -18,8 +21,6 @@ from nlmedium.medium import (
     NuConstant,
     NuTabulated,
     Rank2Response,
-    _cache_gamma,
-    _gamma_magnitude,
     _gamma_scalar,
     _gamma_values,
     _sigma_values,
@@ -209,47 +210,74 @@ class TestGammaResponse:
         assert np.isfinite(g)
         assert g.imag > 0
 
-    def test_both_signs_share_one_cache_entry(self, lossy):
-        entries = _gamma_magnitude.entries(lossy)
-        entries.clear()
-        for w in (0.7, -0.7, -2.5, 2.5, 0.0, -0.0):
-            value = np.complex128(_gamma_scalar(lossy, w))
-            assert value.tobytes() == _gamma_values(lossy, np.asarray([w]))[0].tobytes()
-        assert len(entries) == 3
+    def test_scalar_read_equals_array_value(self, lossy):
+        omegas = np.asarray([0.7, -0.7, 2.5, -2.5, 0.0, -0.0])
+        batch = _gamma_values(lossy, omegas)
+        for i, w in enumerate(omegas.tolist()):
+            assert np.complex128(_gamma_scalar(lossy, w)).tobytes() == batch[i].tobytes()
+            assert gamma_response(lossy, w)[0, 0].tobytes() == batch[i].tobytes()
 
-    def test_batch_fills_the_cache_with_one_frequency_values(self, smooth_lossy):
-        half = np.linspace(0.0, 3.0, 31)
-        omegas = np.concatenate([-half[::-1], half])
-        entries = _gamma_magnitude.entries(smooth_lossy)
-        entries.clear()
-        _cache_gamma(smooth_lossy, omegas)
-        assert len(entries) == 31
-        for w in omegas:
-            value = np.complex128(_gamma_scalar(smooth_lossy, w))
-            assert value.tobytes() == _gamma_values(smooth_lossy, np.asarray([w]))[0].tobytes()
 
-    def test_failed_batch_caches_nothing(self, lossless):
-        entries = _gamma_magnitude.entries(lossless)
-        entries.clear()
-        _cache_gamma(lossless, [0.5, lossless.omega0])
-        assert len(entries) == 0
-        assert np.isfinite(_gamma_scalar(lossless, 0.5))
-        with pytest.raises(ResponsePoleError, match="response pole hit"):
-            gamma_response(lossless, lossless.omega0)
+class TestOneKernelCallPerConsumer:
+    """Each consumer evaluates gamma at all the frequencies it needs in one ``_gamma_values`` call."""
 
-    @pytest.mark.parametrize("tabulated", [False, True])
-    def test_caches_are_freed_with_their_medium(self, tabulated):
-        grid = np.linspace(0.0, 8.0, 40)
-        nu = NuTabulated(grid, 0.1 * np.exp(-grid)) if tabulated else NuConstant(0.1, 7.5)
-        medium = MediumParams(omega0=1.0, chi_s=1.0, alpha=0.5, rho=0.2, nu=nu, loop_cutoff=20.0)
-        gamma_response(medium, 0.7)
-        _cache_gamma(medium, [0.3, -0.4])
-        assert len(_gamma_magnitude.entries(medium)) == 3
-        assert len(_static_nodes.entries(nu)) == 1
-        refs = [weakref.ref(medium), weakref.ref(nu)]
-        del medium, nu
-        gc.collect()
-        assert all(ref() is None for ref in refs)
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The frequency counts of the ``_gamma_values`` calls, however a module imported it."""
+        counted = []
+        original = medium_module._gamma_values
+
+        def counting(params, omega):
+            counted.append(np.size(omega))
+            return original(params, omega)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("nlmedium.") and hasattr(module, "_gamma_values"):
+                monkeypatch.setattr(module, "_gamma_values", counting)
+        return counted
+
+    @pytest.fixture
+    def vacuum(self):
+        return MediumParams(omega0=1.0, chi_s=1.0, alpha=0.5, rho=1.0, g=0, loop_cutoff=30.0)
+
+    def test_library_consumers(self, calls, lossy):
+        lam = nonlinear.lambda_isotropic(0.25, 0.4, 0.35)
+        nonlinear.lambda0_tensor(lam, lossy, 0.1, 0.2, 0.3, 0.4)
+        nonlinear.chi3(lossy, lam, 0.6, 0.5, 0.2, 0.3)
+        ctx = fieldspace.PlaneWaveContext(k=1.3, polarization=[1.0, 0.0, 0.0], omega=0.8)
+        fieldspace.tree_propagators(lossy, ctx)
+        fieldspace.photon_green(lossy, ctx)
+        assert calls == [4, 4, 1, 1]
+
+    def test_comb_plan_of_three_lines(self, calls, lossy):
+        lam = nonlinear.lambda_isotropic(0.25, 0.4, 0.35)
+        comb = FrequencyComb.from_lines([(w, [0.1, 0.0, 0.0]) for w in (0.3, 0.5, 0.9)], mirror=False)
+        displacement(comb, lossy, lam)
+        assert len(calls) == 1
+
+    def test_vacuum_evaluates_no_gamma(self, calls, vacuum):
+        lam = nonlinear.lambda_isotropic(0.25, 0.4, 0.35)
+        assert np.all(nonlinear.lambda0_tensor(lam, vacuum, 0.1, 0.2, 0.3, 0.4) == 0.0)
+        assert np.all(nonlinear.chi3(vacuum, lam, 0.6, 0.5, 0.2, 0.3) == 0.0)
+        ctx = fieldspace.PlaneWaveContext(k=1.3, polarization=[1.0, 0.0, 0.0], omega=0.8)
+        assert np.all(fieldspace.tree_propagators(vacuum, ctx).xx == 0.0)
+        assert calls == []
+
+    # one call on the five grid frequencies; dyson adds the loop's call
+    @pytest.mark.parametrize("command, count", [("chi3", 1), ("propagators", 1), ("dyson", 2)])
+    def test_cli_commands(self, calls, tmp_path, command, count):
+        nu = {"type": "constant", "nu0": 0.1, "omega_cut": 6.0}
+        cfg = {
+            "medium": {"omega0": 1.0, "chi_s": 1.0, "alpha": 0.5, "rho": 0.8, "nu": nu, "loop_cutoff": 30.0},
+            "lambda": {"isotropic": [0.05, 0.08, 0.05]},
+            "grids": {"omega": {"start": 0.2, "stop": 1.8, "n": 5}, "k": [0.0, 1.3]},
+            "loop": {"n_points": 16384, "cutoff": 12.0},
+            "outputs": {"dir": str(tmp_path)},
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["--config", str(path), command]) == cli.EXIT_OK
+        assert len(calls) == count and calls[0] == 5
 
 
 class TestChi1:
