@@ -3,13 +3,18 @@
 Every run decodes one parsed config dict with ``RunConfig.from_config``:
 the ``--config`` file (an empty one without it) with the ``--medium`` and
 ``--lambda`` files, when given, in place of those sections.  Both entry
-points thus share one set of defaults, and each file is read once.  The
-commands that read the response at many frequencies (``chi3``,
-``propagators``, ``dyson``) first evaluate it at all of them in one
-kernel call.  Each command hands the values the library returns to one
-writer call: arrays and complex values go to the JSON encoder as they
-are, and CSV numbers are formatted once per distinct value in each block
-of rows (``serialize``).
+points thus share one set of defaults, and each file is read once.  An
+integer key (``medium.g``, ``grids.omega.n``, ``loop.n_points``,
+``drive.ladder``, ``seed``) takes an integral number: 0.5 is a validation
+error, not 0.  The commands that read the response at many frequencies
+(``chi3``, ``propagators``, ``dyson``) first evaluate it at all of them in
+one kernel call.  ``propagators`` and ``dyson`` then evaluate all their
+(k, omega) samples as arrays: the scalar Green function and the tree
+blocks on every sample at once, the self-energy with one loop for all
+samples, and the Dyson step with one stacked inverse.  Each command hands
+the values the library returns to one writer call: arrays and complex
+values go to the JSON encoder as they are, and CSV numbers are formatted
+once per distinct value in each block of rows (``serialize``).
 
 Exit codes: 0 success, 2 validation error (including a missing or
 malformed config value), 3 numerical-convergence error, 64 usage error
@@ -30,18 +35,13 @@ import numpy as np
 from .displacement import displacement as _run_displacement
 from .duffing import compare_chi3 as _run_compare_chi3
 from .errors import InputError, NlmediumError, NumericsError
-from .fieldspace import (
-    LoopQuadrature,
-    PlaneWaveContext,
-    _self_energy_sweep,
-    _tree_propagators,
-    dyson_dress,
-)
+from .fieldspace import LoopQuadrature, PropagatorMatrix, _dyson_dress, _self_energy, _tree_propagators
 from .medium import (
     MediumParams,
     NuZero,
     _config_value,
-    _gamma_list,
+    _gamma_values,
+    _integer,
     _reject_unknown_keys,
     chi1_spectrum,
     kk_reconstruct,
@@ -117,11 +117,11 @@ class RunConfig:
             omega_grid=omega_grid,
             k_values=np.atleast_1d(k_values),
             quadruples=quadruples,
-            loop_n_points=_config_value("loop", loop, "n_points", int, 2048),
+            loop_n_points=_config_value("loop", loop, "n_points", _integer, 2048),
             loop_cutoff=_config_value("loop", loop, "cutoff", float) if "cutoff" in loop else None,
             drive_freq=_config_value("drive", cfg["drive"], "freq", float) if "drive" in cfg else None,
-            drive_ladder=_config_value("drive", cfg.get("drive", {}), "ladder", int, 5),
-            seed=int(seed) if seed is not None else _config_value("top level", cfg, "seed", int, 0),
+            drive_ladder=_config_value("drive", cfg.get("drive", {}), "ladder", _integer, 5),
+            seed=int(seed) if seed is not None else _config_value("top level", cfg, "seed", _integer, 0),
             out_dir=out_dir or config_dir,
             out_format=out_format or config_format,
         )
@@ -137,7 +137,7 @@ def _decode_grid(spec) -> np.ndarray:
     if isinstance(spec, dict):
         start = _config_value("grids.omega", spec, "start", float)
         stop = _config_value("grids.omega", spec, "stop", float)
-        grid = np.linspace(start, stop, _config_value("grids.omega", spec, "n", int))
+        grid = np.linspace(start, stop, _config_value("grids.omega", spec, "n", _integer))
     else:
         grid = np.asarray(spec, dtype=float)
     if grid.size == 0 or np.any(np.diff(grid) <= 0):
@@ -158,7 +158,6 @@ def _out_path(config: RunConfig, name: str) -> str:
 
 _COMPONENTS = [f"{i}{j}" for i in range(3) for j in range(3)]
 _CHI3_COMPONENTS = [ab + mn for ab in _COMPONENTS for mn in _COMPONENTS]
-_POLARIZATION = np.array([1.0, 0.0, 0.0])
 _WICK_KINDS = ("plain", "star", "plain", "star")
 
 
@@ -219,24 +218,23 @@ def _cmd_kk_check(config: RunConfig, args) -> list:
     return _emit_json(config, "kk_check.json", report)
 
 
-def _propagator_samples(medium: MediumParams, k_values, omega_grid, dress) -> list:
-    """One JSON sample per (k, omega != 0).
+def _tree_samples(medium: MediumParams, k_values, omega_grid) -> tuple:
+    """Every k with every omega != 0 of the grid, k outer: (k, omega, gamma, tree propagators).
 
-    ``dress(omega, gamma, g0)`` maps the tree propagators to the
-    propagators written as the four blocks, plus the sample's other keys.
-    gamma is evaluated on the whole grid at once, and not at all outside a
-    medium (g = 0), where it is None.
+    gamma is evaluated on the grid in one call, and not at all outside a
+    medium (g = 0, where it is None) or when there are no samples.
     """
-    omegas = [float(w) for w in omega_grid if w != 0.0]
-    gammas = _gamma_list(medium, omegas) if medium.g and len(k_values) else [None] * len(omegas)
-    samples = []
-    for k in k_values:
-        for w, gam in zip(omegas, gammas):
-            ctx = PlaneWaveContext(k=float(k), polarization=_POLARIZATION, omega=w)
-            g, extra = dress(w, gam, _tree_propagators(medium, ctx, gam))
-            sample = {"omega": w, "k": float(k), "AA": g.aa, "AX": g.ax, "XA": g.xa, "XX": g.xx}
-            samples.append(sample | extra)
-    return samples
+    grid = omega_grid[omega_grid != 0.0] if len(k_values) else omega_grid[:0]
+    gam = np.tile(_gamma_values(medium, grid), len(k_values)) if medium.g else None
+    k, omega = np.repeat(k_values, grid.size), np.tile(grid, len(k_values))
+    return k, omega, gam, _tree_propagators(medium, k, omega, gam)
+
+
+def _samples(k, omega, blocks: PropagatorMatrix, **extra) -> list:
+    """One JSON sample per (k, omega): its four blocks, and its entry of each ``extra`` sequence."""
+    columns = {"omega": omega.tolist(), "k": k.tolist(), "AA": blocks.aa, "AX": blocks.ax, "XA": blocks.xa}
+    columns |= {"XX": blocks.xx, **extra}
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def _cmd_propagators(config: RunConfig, args) -> list:
@@ -248,8 +246,8 @@ def _cmd_propagators(config: RunConfig, args) -> list:
         except ValueError:
             raise InputError("--omega-grid expects start:stop:n") from None
     k_values = config.k_values if not args.k_values else np.asarray(args.k_values, dtype=float)
-    samples = _propagator_samples(config.medium, k_values, omega_grid, lambda w, gam, g0: (g0, {}))
-    return _emit_json(config, "propagators.json", {"seed": config.seed, "samples": samples})
+    k, omega, _, g0 = _tree_samples(config.medium, k_values, omega_grid)
+    return _emit_json(config, "propagators.json", {"seed": config.seed, "samples": _samples(k, omega, g0)})
 
 
 def _cmd_dyson(config: RunConfig, args) -> list:
@@ -259,16 +257,15 @@ def _cmd_dyson(config: RunConfig, args) -> list:
     # window stays strictly inside the kernel support |W| < loop_cutoff
     cutoff = config.loop_cutoff if config.loop_cutoff is not None else 0.5 * config.medium.loop_cutoff
     quad = LoopQuadrature(n_points=config.loop_n_points, cutoff=cutoff)
-    # the self-energy does not depend on k, and the loop integrals not on w
-    pi_at = _self_energy_sweep(config.medium, lam, quad)
-
-    def dress(w, gam, g0):
-        pi = pi_at(w, gam)
-        dressed = dyson_dress(g0, pi.value)
+    k, omega, gam, g0 = _tree_samples(config.medium, config.k_values, config.omega_grid)
+    samples = []
+    if omega.size:
+        # one loop for all samples; a sample's self-energy does not depend on its k
+        pi = _self_energy(config.medium, lam, omega, gam, quad)
+        dressed = _dyson_dress(g0, pi.value)
         chosen = dressed.single if mode == "single" else dressed.resummed
-        return chosen, {"mode": mode, "self_energy": pi.value, "error_estimate": pi.error_estimate}
-
-    samples = _propagator_samples(config.medium, config.k_values, config.omega_grid, dress)
+        errors = pi.error_estimate.tolist()
+        samples = _samples(k, omega, chosen, mode=[mode] * omega.size, self_energy=pi.value, error_estimate=errors)
     return _emit_json(config, "dyson.json", {"seed": config.seed, "samples": samples})
 
 

@@ -13,6 +13,20 @@ vanishing on the vacuum light cone for g = 0 (with eps0*mu0*c**2 = 1); its
 transverse inverse is the photon Green function D.  Matter and mixing
 blocks of the tree propagator matrix carry the occupancy flag g so that a
 vacuum region decouples the sectors.
+
+The response is isotropic, ``Gamma = gamma I``, so every linear block is a
+scalar times I or times diag(1, 1, 0):
+
+    D = diag(d_T, d_T, d_L),  d_T = 1/K_T,  d_L = d_T at k = 0, 0 for k > 0,
+    G0_XX = gamma I + alpha**2 w**2 gamma**2 D,  G0_AX = G0_XA = alpha w gamma D.
+
+The Green function, the tree propagators and the self-energy are
+evaluated as array formulas over samples (arrays of w, k and gamma(w)),
+and the Dyson step over a stack of samples with one stacked inverse.  The
+one-sample functions (``photon_green``, ``total_kernel``,
+``tree_propagators``, ``self_energy``, ``dyson_dress``) evaluate
+one-element arrays, so a sample's values are bitwise those it has in any
+batch.
 """
 
 from __future__ import annotations
@@ -23,7 +37,7 @@ import numpy as np
 
 from .errors import DysonPoleError, InputError, LoopConvergenceError, PropagatorPoleError
 from .medium import MediumParams, _gamma_scalar, _gamma_values
-from .nonlinear import _dress
+from .nonlinear import _FACT4
 
 __all__ = [
     "PlaneWaveContext",
@@ -70,19 +84,22 @@ def transverse_projector(k: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PropagatorMatrix:
-    """2x2 block matrix of 3x3 propagators in {A, X} field space."""
+    """2x2 block matrix of 3x3 propagators in {A, X} field space.
+
+    The library's sample batches hold an (n, 3, 3) stack in each block.
+    """
 
     aa: np.ndarray
     ax: np.ndarray
     xa: np.ndarray
     xx: np.ndarray
 
-    def block(self, i: str, j: str) -> np.ndarray:
-        return {"AA": self.aa, "AX": self.ax, "XA": self.xa, "XX": self.xx}[i + j]
-
     def mixing_reciprocity_defect(self) -> float:
         """max |G_AX - G_XA^T|; zero for isotropic media."""
         return float(np.max(np.abs(self.ax - self.xa.T)))
+
+    def _map(self, f) -> "PropagatorMatrix":
+        return PropagatorMatrix(aa=f(self.aa), ax=f(self.ax), xa=f(self.xa), xx=f(self.xx))
 
 
 @dataclass(frozen=True)
@@ -104,61 +121,60 @@ class MeanField:
         object.__setattr__(self, "m_prime", mp)
 
 
-def _gamma_at(medium: MediumParams, omega: float) -> complex | None:
-    """gamma(omega) inside a medium; outside one (g = 0) nothing reads it, and it is not evaluated."""
-    return _gamma_scalar(medium, float(omega)) if medium.g else None
+def _one_sample(medium: MediumParams, ctx: PlaneWaveContext) -> tuple:
+    """(k, w, gamma(w)) of one mode as one-element arrays; outside a medium (g = 0) gamma is None."""
+    omega = np.asarray([float(ctx.omega)])
+    return np.asarray([float(ctx.k)]), omega, _gamma_values(medium, omega) if medium.g else None
 
 
-def _kernel_terms(medium: MediumParams, ctx: PlaneWaveContext, gam) -> list:
-    """The terms of K_tot(w, k), with ``gam = gamma(w)``: vacuum, transverse and, inside a medium, matter."""
-    w = ctx.omega
-    terms = [
-        medium.eps0 * w**2 * np.eye(3, dtype=complex),
-        -(ctx.k**2 / medium.mu0) * transverse_projector(ctx.k),
-    ]
-    if medium.g:
-        terms.append(-(medium.g * w**2 * medium.alpha**2 * gam * np.eye(3)))
-    return terms
+def _kernel(medium: MediumParams, k, omega, gam) -> tuple:
+    """Transverse kernel K_T(w, k) and its scale, the sum of its terms' magnitudes, on arrays."""
+    vacuum = medium.eps0 * omega**2
+    curl = k**2 / medium.mu0
+    matter = medium.g * omega**2 * medium.alpha**2 * gam if medium.g else 0j
+    return vacuum - curl - matter, np.abs(vacuum) + np.abs(curl) + np.abs(matter)
+
+
+def _green(medium: MediumParams, k, omega, gam) -> np.ndarray:
+    """The diagonal (d_T, d_T, d_L) of the photon Green function, one row per sample."""
+    kernel, scale = _kernel(medium, k, omega, gam)
+    if np.any(np.abs(kernel) <= 1e-7 * scale):
+        raise PropagatorPoleError("propagator pole")
+    d_t = 1.0 / kernel
+    return np.stack([d_t, d_t, np.where(k == 0.0, d_t, 0.0)], axis=-1)
+
+
+def _diagonal(rows: np.ndarray) -> np.ndarray:
+    """An (n, 3, 3) stack of diagonal matrices from their (n, 3) diagonals."""
+    out = np.zeros(rows.shape + (3,), dtype=complex)
+    out[:, [0, 1, 2], [0, 1, 2]] = rows
+    return out
 
 
 def total_kernel(medium: MediumParams, ctx: PlaneWaveContext) -> np.ndarray:
-    """Quadratic photon kernel K_tot(w, k), 3x3 complex."""
-    return sum(_kernel_terms(medium, ctx, _gamma_at(medium, ctx.omega)))
+    """Quadratic photon kernel K_tot(w, k), 3x3 complex.
+
+    The longitudinal entry has no curl term: it is K_T at k = 0.
+    """
+    k, omega, gam = _one_sample(medium, ctx)
+    k_t, k_l = (_kernel(medium, kv, omega, gam)[0][0] for kv in (k, 0.0))
+    return np.diag([k_t, k_t, k_l])
 
 
 def photon_green(medium: MediumParams, ctx: PlaneWaveContext) -> np.ndarray:
     """Inverse of K_tot on the transverse subspace.
 
-    For k > 0 the longitudinal row/column of the result is zero; at k = 0
-    the full 3x3 kernel is inverted.  Raises ``PropagatorPoleError`` when
-    the restricted kernel is singular (undamped on-shell mode), that is
-    when its terms cancel so far that |det| <= 1e-14 times the product of
-    the row norms of the summed term magnitudes.  The test is scale-free:
-    a kernel that is small only because w and k are (w**2 eps(w) I near
-    w = 0) is not a pole.
+    D = diag(d_T, d_T, d_L) with d_T = 1/K_T.  For k > 0 the longitudinal
+    row and column are zero (d_L = 0); at k = 0 the kernel is K_T times the
+    identity and d_L = d_T.  Raises ``PropagatorPoleError`` at an undamped
+    on-shell mode, where the terms of K_T cancel so far that
+
+        |K_T| <= 1e-7 (|eps0 w**2| + |k**2/mu0| + |g w**2 alpha**2 gamma|).
+
+    The test is scale-free: a kernel that is small only because w and k
+    are (w**2 eps(w) near w = 0) is not a pole.
     """
-    return _photon_green(medium, ctx, _gamma_at(medium, ctx.omega))
-
-
-def _photon_green(medium: MediumParams, ctx: PlaneWaveContext, gam) -> np.ndarray:
-    """``photon_green`` with ``gam = gamma(w)`` given."""
-    terms = _kernel_terms(medium, ctx, gam)
-    kernel = sum(terms)
-    scale = sum(np.abs(term) for term in terms)
-    if ctx.k == 0.0:
-        _check_regular(kernel, scale)
-        return np.linalg.inv(kernel)
-    sub = kernel[:2, :2]
-    _check_regular(sub, scale[:2, :2])
-    out = np.zeros((3, 3), dtype=complex)
-    out[:2, :2] = np.linalg.inv(sub)
-    return out
-
-
-def _check_regular(matrix: np.ndarray, scale: np.ndarray) -> None:
-    bound = float(np.prod(np.linalg.norm(scale, axis=1)))
-    if abs(np.linalg.det(matrix)) <= 1e-14 * bound:
-        raise PropagatorPoleError("propagator pole")
+    return _diagonal(_green(medium, *_one_sample(medium, ctx)))[0]
 
 
 def total_source(medium: MediumParams, j_src, f_src, omega: float) -> np.ndarray:
@@ -195,24 +211,24 @@ def tree_propagators(medium: MediumParams, ctx: PlaneWaveContext) -> PropagatorM
 
     G0_AA = D;  G0_XX = g (Gamma + alpha**2 w**2 Gamma D Gamma);
     G0_AX = g alpha w D Gamma;  G0_XA = g alpha w Gamma D.
-    The response is isotropic, ``Gamma = gamma I``, so every block is a
-    scalar combination of D and I, and G0_AX = G0_XA.  The matter and
+    The response is isotropic, ``Gamma = gamma I``, so every block is
+    diagonal (see the module docstring), and G0_AX = G0_XA.  The matter and
     mixing blocks vanish outside the medium (g = 0).
     """
-    return _tree_propagators(medium, ctx, _gamma_at(medium, ctx.omega))
+    return _tree_propagators(medium, *_one_sample(medium, ctx))._map(lambda block: block[0])
 
 
-def _tree_propagators(medium: MediumParams, ctx: PlaneWaveContext, gam) -> PropagatorMatrix:
-    """``tree_propagators`` with ``gam = gamma(w)`` given."""
-    d = _photon_green(medium, ctx, gam)
+def _tree_propagators(medium: MediumParams, k, omega, gam) -> PropagatorMatrix:
+    """``tree_propagators`` on sample arrays k, w and ``gam = gamma(w)``: (n, 3, 3) blocks."""
+    d = _green(medium, k, omega, gam)
     if medium.g == 0:
-        zero = np.zeros((3, 3), dtype=complex)
-        return PropagatorMatrix(aa=d, ax=zero, xa=zero.copy(), xx=zero.copy())
-    w = ctx.omega
+        zero = np.zeros(d.shape + (3,), dtype=complex)
+        return PropagatorMatrix(aa=_diagonal(d), ax=zero, xa=zero.copy(), xx=zero.copy())
+    w, gam = omega[:, None], gam[:, None]
     a = medium.alpha
-    xx = gam * np.eye(3) + a**2 * w**2 * (gam * gam * d)
-    mixing = a * w * (gam * d)
-    return PropagatorMatrix(aa=d, ax=mixing, xa=mixing.copy(), xx=xx)
+    mixing = _diagonal(a * w * (gam * d))
+    xx = _diagonal(gam + a**2 * w**2 * (gam * gam * d))
+    return PropagatorMatrix(aa=_diagonal(d), ax=mixing, xa=mixing.copy(), xx=xx)
 
 
 def _convert_leg(tensor: np.ndarray, axis: int, weight: np.ndarray) -> np.ndarray:
@@ -260,7 +276,10 @@ class LoopQuadrature:
 
 @dataclass(frozen=True)
 class SelfEnergyResult:
-    """Loop integral value with its convergence diagnostics."""
+    """Loop integral value with its convergence diagnostics.
+
+    On a frequency array each field holds one entry per frequency.
+    """
 
     value: np.ndarray
     error_estimate: float
@@ -317,49 +336,35 @@ def _loop_integrals(medium: MediumParams, quadrature: LoopQuadrature) -> tuple:
     return tuple(np.trapezoid(part, nodes) / (2.0 * np.pi) for part, nodes in zip(parts, windows))
 
 
-def _loop_vertex(medium: MediumParams, lam: np.ndarray, omega: float, gam) -> np.ndarray:
-    """Partial trace V_abbg of the four-point vertex at the external frequency, ``gam = gamma(omega)``."""
-    pol = np.array([1.0, 0.0, 0.0])
-    ctx_ext = PlaneWaveContext(k=0.0, polarization=pol, omega=float(omega))
-    lam0 = _dress(lam, medium.g, (gam,) * 4)
-    d_ext = _photon_green(medium, ctx_ext, gam)
-    return np.einsum("abbg->ag", vertex(lam0, medium.alpha, omega, d_ext))
+def _loop_vertex(medium: MediumParams, lam: np.ndarray, omega: np.ndarray, gam) -> np.ndarray:
+    """Partial trace V_abbg of the four-point vertex on a frequency array, ``gam = gamma(omega)``.
+
+    At k = 0 the Green function is d I, so each converted leg of ``vertex``
+    multiplies by c = alpha w d, and V = (1 + 4 c**2 + c**4) lambda0 with
+    lambda0 = (g**4/4!) gamma**4 lam.  Raises ``PropagatorPoleError`` where
+    the k = 0 kernel has a pole.
+    """
+    d = _green(medium, 0.0, omega, gam)[:, 0]
+    if medium.g == 0:
+        return np.zeros((omega.size, 3, 3), dtype=complex)
+    c2 = (medium.alpha * omega * d) ** 2
+    gam2 = gam * gam
+    weight = (medium.g**4 / _FACT4) * (gam2 * gam2) * (1.0 + 4.0 * c2 + c2 * c2)
+    return weight[:, None, None] * np.einsum("abbg->ag", np.asarray(lam, dtype=complex))
 
 
-def _self_energy_from(trace: np.ndarray, integrals: tuple) -> SelfEnergyResult:
-    """Self-energy and its error estimates from a vertex trace and the loop integrals."""
-    j_full, j_half, j_cut = integrals
+def _self_energy(medium: MediumParams, lam: np.ndarray, omega: np.ndarray, gam, quadrature) -> SelfEnergyResult:
+    """``self_energy`` at each frequency of an array, ``gam = gamma(omega)``: one loop serves them all."""
+    trace = _loop_vertex(medium, lam, omega, gam)
+    j_full, j_half, j_cut = _loop_integrals(medium, quadrature)
     full = trace * j_full
     # composite trapezoid is O(h^2): Richardson factor 1/3
-    disc = float(np.max(np.abs(full - trace * j_half))) / 3.0
-    tail = float(np.max(np.abs(full - trace * j_cut)))
-    scale = float(np.max(np.abs(full)))
-    if scale > 0.0 and disc > 0.1 * scale:
+    disc = np.max(np.abs(full - trace * j_half), axis=(1, 2)) / 3.0
+    tail = np.max(np.abs(full - trace * j_cut), axis=(1, 2))
+    scale = np.max(np.abs(full), axis=(1, 2))
+    if np.any((scale > 0.0) & (disc > 0.1 * scale)):
         raise LoopConvergenceError("loop integral not converged at this cutoff")
-    return SelfEnergyResult(
-        value=full, error_estimate=disc + tail, discretization_error=disc, tail_error=tail
-    )
-
-
-def _self_energy_sweep(medium: MediumParams, lam: np.ndarray, quadrature: LoopQuadrature):
-    """``(omega, gamma(omega)) -> self_energy(medium, lam, omega, quadrature)`` for one sweep.
-
-    The window integrals are evaluated at the first call and the
-    self-energy once per frequency; both live only as long as the
-    returned function.  Outside a medium (g = 0) gamma is not read.
-    """
-    integrals = []
-    known = {}
-
-    def at(omega: float, gam) -> SelfEnergyResult:
-        if omega not in known:
-            trace = _loop_vertex(medium, lam, omega, gam)
-            if not integrals:
-                integrals.extend(_loop_integrals(medium, quadrature))
-            known[omega] = _self_energy_from(trace, integrals)
-        return known[omega]
-
-    return at
+    return SelfEnergyResult(value=full, error_estimate=disc + tail, discretization_error=disc, tail_error=tail)
 
 
 def self_energy(
@@ -378,9 +383,13 @@ def self_energy(
     therefore factors into the partial trace ``V_abbg`` times one scalar
     window integral J (see ``_loop_integrals``), and the whole loop is
     three such integrals: the full window, the same window at half the
-    nodes, and the half window at the same node spacing.  Each call
-    evaluates them afresh; the ``dyson`` command evaluates them once per
-    run and the self-energy once per frequency (``_self_energy_sweep``).
+    nodes, and the half window at the same node spacing.  With the vertex
+    in closed form (``_loop_vertex``),
+
+        Pi(w) = (g**4/4!) gamma**4 (1 + 4 c**2 + c**4) J lam_abbg,   c = alpha w d(w, 0).
+
+    Each call evaluates the window integrals afresh; the ``dyson`` command
+    evaluates them, and the self-energy at all its frequencies, once.
 
     The reported error estimate combines a trapezoid Richardson term
     (node count halved) with a cutoff-sensitivity term (window halved at
@@ -392,7 +401,14 @@ def self_energy(
     k = 0 photon kernel W**2 (eps0 - g alpha**2 Gamma) is singular, raises
     ``PropagatorPoleError`` naming the node.
     """
-    return _self_energy_sweep(medium, lam, quadrature)(omega, _gamma_at(medium, omega))
+    omega = np.asarray([float(omega)])
+    res = _self_energy(medium, lam, omega, _gamma_values(medium, omega) if medium.g else None, quadrature)
+    return SelfEnergyResult(
+        value=res.value[0],
+        error_estimate=float(res.error_estimate[0]),
+        discretization_error=float(res.discretization_error[0]),
+        tail_error=float(res.tail_error[0]),
+    )
 
 
 @dataclass(frozen=True)
@@ -412,29 +428,32 @@ def dyson_dress(g0: PropagatorMatrix, pi: np.ndarray) -> DressedPropagators:
         single:   G_ij = G0_ij + G0_iX (i Pi) G0_Xj
         resummed: G_ij = G0_ij + G0_iX (i Pi) (1 - G0_XX i Pi)^-1 G0_Xj
 
-    Raises ``DysonPoleError`` when the resummation matrix is singular
-    (a dressed resonance).
+    Pi is a general 3x3: the coupling may be anisotropic.  Raises
+    ``DysonPoleError`` when the resummation matrix is singular (a dressed
+    resonance), that is when |det| < 1e-14 max(1, max |entry|)**3.
     """
     pi = np.asarray(pi, dtype=complex)
     if pi.shape != (3, 3):
         raise InputError("self-energy block must be 3x3")
+    stacked = g0._map(lambda block: np.asarray(block, dtype=complex)[None])
+    dressed = _dyson_dress(stacked, pi[None])
+    return DressedPropagators(*(g._map(lambda block: block[0]) for g in (dressed.single, dressed.resummed)))
+
+
+def _dyson_dress(g0: PropagatorMatrix, pi: np.ndarray) -> DressedPropagators:
+    """``dyson_dress`` over a stack of samples: (n, 3, 3) blocks and self-energies."""
     ipi = 1j * pi
-    left = {"A": g0.ax, "X": g0.xx}
-    right = {"A": g0.xa, "X": g0.xx}
 
     def build(middle):
         return PropagatorMatrix(
-            aa=g0.aa + left["A"] @ middle @ right["A"],
-            ax=g0.ax + left["A"] @ middle @ right["X"],
-            xa=g0.xa + left["X"] @ middle @ right["A"],
-            xx=g0.xx + left["X"] @ middle @ right["X"],
+            aa=g0.aa + g0.ax @ middle @ g0.xa,
+            ax=g0.ax + g0.ax @ middle @ g0.xx,
+            xa=g0.xa + g0.xx @ middle @ g0.xa,
+            xx=g0.xx + g0.xx @ middle @ g0.xx,
         )
 
-    single = build(ipi)
-    resum_matrix = np.eye(3, dtype=complex) - g0.xx @ ipi
-    det = np.linalg.det(resum_matrix)
-    if abs(det) < 1e-14 * max(1.0, float(np.max(np.abs(resum_matrix))) ** 3):
+    resum_matrix = np.eye(3) - g0.xx @ ipi
+    bound = 1e-14 * np.maximum(1.0, np.max(np.abs(resum_matrix), axis=(1, 2))) ** 3
+    if np.any(np.abs(np.linalg.det(resum_matrix)) < bound):
         raise DysonPoleError("Dyson resummation pole")
-    middle = ipi @ np.linalg.inv(resum_matrix)
-    resummed = build(middle)
-    return DressedPropagators(single=single, resummed=resummed)
+    return DressedPropagators(single=build(ipi), resummed=build(ipi @ np.linalg.inv(resum_matrix)))

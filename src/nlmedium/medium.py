@@ -67,9 +67,6 @@ __all__ = [
     "nu_from_config",
 ]
 
-_IDENTITY3 = np.eye(3)
-
-
 @dataclass(frozen=True)
 class NuZero:
     """No reservoir coupling: the medium is lossless."""
@@ -198,6 +195,17 @@ def _config_value(section: str, cfg: dict, key: str, convert, default=_REQUIRED)
         raise InputError(f"bad value for key {key!r} in config section {section!r}") from None
 
 
+def _integer(value) -> int:
+    """An integral config number as an int.
+
+    A fractional value (0.5), an infinite one, a string or ``None`` raises
+    ``ValueError``: ``int`` would truncate 0.5 to 0 without a word.
+    """
+    if isinstance(value, int) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def _reject_unknown_keys(section: str, cfg: dict, known) -> None:
     """Raise ``InputError`` naming the first key of ``cfg`` not in ``known``."""
     if not isinstance(cfg, dict):
@@ -253,7 +261,7 @@ class MediumParams:
             alpha=_config_value("medium", cfg, "alpha", float, 1.0),
             rho=_config_value("medium", cfg, "rho", float),
             nu=nu_from_config(cfg.get("nu")),
-            g=_config_value("medium", cfg, "g", int, 1),
+            g=_config_value("medium", cfg, "g", _integer, 1),
             eps0=_config_value("medium", cfg, "eps0", float, 1.0),
             mu0=_config_value("medium", cfg, "mu0", float, 1.0),
             loop_cutoff=_config_value("medium", cfg, "loop_cutoff", float, 20.0 * omega0),
@@ -289,13 +297,6 @@ class Rank2Response:
             raise InputError("values must have shape (n, 3, 3)")
         object.__setattr__(self, "freq_grid", grid)
         object.__setattr__(self, "values", vals)
-
-    def max_anisotropy(self) -> float:
-        """Largest deviation from scalar-times-identity, relative to the diagonal."""
-        iso = self.values[:, 0, 0][:, None, None] * _IDENTITY3
-        dev = np.max(np.abs(self.values - iso), axis=(1, 2))
-        scale = np.max(np.abs(np.einsum("nii->ni", self.values)), axis=1)
-        return float(np.max(dev / np.where(scale > 0, scale, 1.0)))
 
 
 # Row chunks keep every (rows x nodes) temporary of the kernel and of the

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnergyConservationError, InputError, MillerRatioError
-from .medium import MediumParams, _config_value, _gamma_list, _reject_unknown_keys, chi1_scalar
+from .medium import MediumParams, _config_value, _gamma_list, _reject_unknown_keys
 
 __all__ = [
     "lambda_isotropic",
@@ -176,12 +176,17 @@ def _check_energy(w, w1, w2, w3) -> None:
         raise EnergyConservationError("energy conservation violated")
 
 
+def _chi3_from(medium: MediumParams, lam0: np.ndarray) -> np.ndarray:
+    """chi3 from the lambda0 of its slot frequencies (w1, w2, w3, w)."""
+    return medium.alpha**4 / (32.0 * medium.eps0) * (lam0 + lam0.transpose(0, 3, 2, 1))
+
+
 def _chi3_values(medium: MediumParams, lam: np.ndarray, quadruples) -> list:
     """``chi3`` at each (w, w1, w2, w3) of ``quadruples``, with one kernel call for all of them."""
     for quad in quadruples:
         _check_energy(*quad)
     lam0s = _lambda0_values(lam, medium, [(w1, w2, w3, w) for w, w1, w2, w3 in quadruples])
-    return [medium.alpha**4 / (32.0 * medium.eps0) * (lam0 + lam0.transpose(0, 3, 2, 1)) for lam0 in lam0s]
+    return [_chi3_from(medium, lam0) for lam0 in lam0s]
 
 
 def chi3(medium: MediumParams, lam: np.ndarray, w, w1, w2, w3) -> np.ndarray:
@@ -200,9 +205,13 @@ def miller_ratio(medium: MediumParams, lam: np.ndarray, w, w1, w2, w3) -> np.nda
 
     For an isotropic medium the result is frequency independent; a constant
     ratio across frequency quadruples certifies the Miller factorization.
+    One kernel call gives gamma at the four frequencies, which serve both
+    the chi1 factors and chi3.
     """
-    factors = [chi1_scalar(medium, v) for v in (w1, w2, w3, w)]
+    gammas = _gamma_list(medium, [w1, w2, w3, w]) if medium.g else [0j] * 4
+    factors = [gam / medium.eps0 for gam in gammas]
     if any(abs(c) < 1e-14 for c in factors):
         raise MillerRatioError("Miller ratio undefined at transparency point")
+    _check_energy(w, w1, w2, w3)
     denom = np.prod(np.asarray(factors))
-    return chi3(medium, lam, w, w1, w2, w3) / denom
+    return _chi3_from(medium, _dress(lam, medium.g, gammas)) / denom

@@ -18,13 +18,29 @@ from nlmedium.duffing import (
     perturbative_reference,
     simulate,
 )
-from nlmedium.errors import DivergenceError, InputError, LoopConvergenceError, RegimeError, StepSizeError
-from nlmedium.fieldspace import PlaneWaveContext, SelfEnergyResult, photon_green, vertex
+from nlmedium.errors import (
+    DivergenceError,
+    DysonPoleError,
+    InputError,
+    LoopConvergenceError,
+    PropagatorPoleError,
+    RegimeError,
+    StepSizeError,
+)
+from nlmedium.fieldspace import (
+    DressedPropagators,
+    PlaneWaveContext,
+    PropagatorMatrix,
+    SelfEnergyResult,
+    transverse_projector,
+    vertex,
+)
 from nlmedium.medium import (
     MediumParams,
     NuConstant,
     NuTabulated,
     NuZero,
+    _gamma_scalar,
     _gamma_values,
     _static_nodes,
     chi1,
@@ -347,6 +363,77 @@ def kk_reconstruct_loop(freq_grid, im_part):
     return re
 
 
+def _kernel_terms_per_sample(medium, ctx, gam):
+    """The 3x3 terms of K_tot(w, k), with ``gam = gamma(w)``: vacuum, transverse and, inside a medium, matter."""
+    w = ctx.omega
+    terms = [
+        medium.eps0 * w**2 * np.eye(3, dtype=complex),
+        -(ctx.k**2 / medium.mu0) * transverse_projector(ctx.k),
+    ]
+    if medium.g:
+        terms.append(-(medium.g * w**2 * medium.alpha**2 * gam * np.eye(3)))
+    return terms
+
+
+def _check_regular_per_sample(matrix, scale):
+    bound = float(np.prod(np.linalg.norm(scale, axis=1)))
+    if abs(np.linalg.det(matrix)) <= 1e-14 * bound:
+        raise PropagatorPoleError("propagator pole")
+
+
+def photon_green_per_sample(medium, ctx):
+    """Reference photon Green function: the 3x3 kernel built term by term and inverted by LAPACK.
+
+    The restricted kernel (the full 3x3 at k = 0, its transverse 2x2 block
+    for k > 0) is a pole when |det| <= 1e-14 times the product of the row
+    norms of the summed term magnitudes.
+    """
+    gam = _gamma_scalar(medium, float(ctx.omega)) if medium.g else None
+    terms = _kernel_terms_per_sample(medium, ctx, gam)
+    kernel = sum(terms)
+    scale = sum(np.abs(term) for term in terms)
+    if ctx.k == 0.0:
+        _check_regular_per_sample(kernel, scale)
+        return np.linalg.inv(kernel)
+    sub = kernel[:2, :2]
+    _check_regular_per_sample(sub, scale[:2, :2])
+    out = np.zeros((3, 3), dtype=complex)
+    out[:2, :2] = np.linalg.inv(sub)
+    return out
+
+
+def tree_propagators_per_sample(medium, ctx):
+    """Reference tree propagators: 3x3 matrix products on ``photon_green_per_sample``."""
+    d = photon_green_per_sample(medium, ctx)
+    if medium.g == 0:
+        zero = np.zeros((3, 3), dtype=complex)
+        return PropagatorMatrix(aa=d, ax=zero, xa=zero.copy(), xx=zero.copy())
+    gam = _gamma_scalar(medium, float(ctx.omega))
+    w, a = ctx.omega, medium.alpha
+    xx = gam * np.eye(3) + a**2 * w**2 * (gam * gam * d)
+    mixing = a * w * (gam * d)
+    return PropagatorMatrix(aa=d, ax=mixing, xa=mixing.copy(), xx=xx)
+
+
+def dyson_dress_per_sample(g0, pi):
+    """Reference Dyson step on one sample: 3x3 products, a LAPACK determinant and inverse."""
+    ipi = 1j * np.asarray(pi, dtype=complex)
+
+    def build(middle):
+        return PropagatorMatrix(
+            aa=g0.aa + g0.ax @ middle @ g0.xa,
+            ax=g0.ax + g0.ax @ middle @ g0.xx,
+            xa=g0.xa + g0.xx @ middle @ g0.xa,
+            xx=g0.xx + g0.xx @ middle @ g0.xx,
+        )
+
+    resum_matrix = np.eye(3, dtype=complex) - g0.xx @ ipi
+    det = np.linalg.det(resum_matrix)
+    if abs(det) < 1e-14 * max(1.0, float(np.max(np.abs(resum_matrix)))) ** 3:
+        raise DysonPoleError("Dyson resummation pole")
+    return DressedPropagators(single=build(ipi), resummed=build(ipi @ np.linalg.inv(resum_matrix)))
+
+
 def _internal_xx(medium, gam):
     """Time-ordered tree matter block at k = 0 as a 3x3 matrix, one node with response ``gam``."""
     m = medium.eps0 * np.eye(3, dtype=complex) - medium.g * medium.alpha**2 * gam
@@ -365,7 +452,8 @@ def _loop_trapezoid(medium, vert, cutoff, n_points):
 def self_energy_per_node(medium, lam, omega, quadrature):
     """Reference one-loop self-energy: full rank-4 contraction at every node.
 
-    The unfactored form of ``self_energy``: each loop node builds the 3x3
+    The unfactored form of ``self_energy``: the vertex is the general
+    ``vertex`` on ``photon_green_per_sample``, each loop node builds the 3x3
     matter block with a linear solve and contracts the whole vertex with
     it; the three windows are separate trapezoid passes.  Error estimates
     and the convergence gate are those of the production path.
@@ -373,7 +461,7 @@ def self_energy_per_node(medium, lam, omega, quadrature):
     pol = np.array([1.0, 0.0, 0.0])
     ctx_ext = PlaneWaveContext(k=0.0, polarization=pol, omega=float(omega))
     lam0 = lambda0_tensor(lam, medium, omega, omega, omega, omega)
-    vert = vertex(lam0, medium.alpha, omega, photon_green(medium, ctx_ext))
+    vert = vertex(lam0, medium.alpha, omega, photon_green_per_sample(medium, ctx_ext))
     n = quadrature.n_points
     cut = quadrature.cutoff
     full = _loop_trapezoid(medium, vert, cut, n)

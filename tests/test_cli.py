@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import dumps_canonical_prepass, write_csv_per_cell
-from nlmedium import cli, serialize
+from nlmedium import cli, fieldspace, serialize
 from nlmedium.cli import EXIT_BAD_JSON, EXIT_NUMERICS, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from nlmedium.medium import MediumParams, chi1_spectrum
 from nlmedium.nonlinear import chi3, lambda_from_config
@@ -228,6 +228,42 @@ class TestCommands:
             assert at_zero["error_estimate"] == at_k["error_estimate"]
             assert at_zero["AA"] != at_k["AA"]
 
+    def test_samples_equal_one_sample_functions(self, tmp_path):
+        # each sample of the batched grid is bitwise what the one-sample
+        # library functions give for it (JSON numbers round-trip exactly)
+        medium = {"omega0": 1.0, "chi_s": 1.0, "alpha": 0.5, "rho": 0.2, "loop_cutoff": 30.0}
+        medium["nu"] = {"type": "constant", "nu0": 0.1, "omega_cut": 10.0}
+        cfg = {
+            "medium": medium,
+            "lambda": {"isotropic": [0.25, 0.4, 0.35]},
+            "grids": {"omega": {"start": -1.5, "stop": 2.0, "n": 15}, "k": [0.0, 1.3]},
+            "loop": {"n_points": 1024, "cutoff": 12.0},
+            "outputs": {"dir": str(tmp_path), "format": "json"},
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "propagators"]) == EXIT_OK
+        assert main(["--config", str(path), "dyson"]) == EXIT_OK
+        med = MediumParams.from_config(medium)
+        lam = lambda_from_config(cfg["lambda"])
+        quad = fieldspace.LoopQuadrature(1024, 12.0)
+        tree = read_json(tmp_path / "propagators.json")["samples"]
+        dressed = read_json(tmp_path / "dyson.json")["samples"]
+        assert len(tree) == len(dressed) == 28
+        for t, d in zip(tree, dressed):
+            ctx = fieldspace.PlaneWaveContext(k=t["k"], polarization=[1.0, 0.0, 0.0], omega=t["omega"])
+            g0 = fieldspace.tree_propagators(med, ctx)
+            pi = fieldspace.self_energy(med, lam, t["omega"], quad)
+            g = fieldspace.dyson_dress(g0, pi.value).resummed
+            assert d["self_energy"] == complex_pairs(pi.value) and d["error_estimate"] == pi.error_estimate
+            for name in ("AA", "AX", "XA", "XX"):
+                assert t[name] == complex_pairs(getattr(g0, name.lower()))
+                assert d[name] == complex_pairs(getattr(g, name.lower()))
+
+
+def complex_pairs(matrix):
+    return [[[v.real, v.imag] for v in row] for row in matrix.tolist()]
+
 
 def kk_check_report(tmp_path, peak, width):
     """kk-check of the criterion-2 medium with a Gaussian coupling of this shape."""
@@ -351,6 +387,38 @@ class TestExitCodes:
         assert main(["--config", str(path), "dyson"]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert repr(section) in err and repr(key) in err
+
+    @pytest.mark.parametrize(
+        "section, key, edit",
+        [
+            ("medium", "g", lambda cfg: cfg["medium"].update(g=0.5)),
+            ("grids.omega", "n", lambda cfg: cfg["grids"]["omega"].update(n=2.5)),
+            ("loop", "n_points", lambda cfg: cfg["loop"].update(n_points=256.5)),
+            ("drive", "ladder", lambda cfg: cfg.update(drive={"freq": 0.24, "ladder": 2.5})),
+            ("top level", "seed", lambda cfg: cfg.update(seed=7.5)),
+        ],
+        ids=["medium-g", "grid-n", "loop-n-points", "drive-ladder", "seed"],
+    )
+    def test_fractional_integer_key(self, config_path, tmp_path, capsys, section, key, edit):
+        # int() would truncate: "g": 0.5 used to run as a vacuum, with an all-zero chi1
+        cfg = read_json(config_path)
+        edit(cfg)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "chi1"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert repr(section) in err and repr(key) in err
+
+    def test_integral_float_keys_accepted(self, config_path, tmp_path):
+        cfg = read_json(config_path)
+        cfg["grids"]["omega"]["n"] = 5.0
+        cfg["medium"]["g"] = 1.0
+        cfg["seed"] = 7.0
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "--out", str(tmp_path / "a"), "chi1"]) == EXIT_OK
+        assert main(["--config", config_path, "--out", str(tmp_path / "b"), "chi1"]) == EXIT_OK
+        assert (tmp_path / "a" / "chi1.csv").read_bytes() == (tmp_path / "b" / "chi1.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "key, value",

@@ -3,12 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from conftest import self_energy_per_node
+from conftest import (
+    dyson_dress_per_sample,
+    photon_green_per_sample,
+    self_energy_per_node,
+    tree_propagators_per_sample,
+)
 from nlmedium.errors import DysonPoleError, InputError, LoopConvergenceError, PropagatorPoleError
 from nlmedium.fieldspace import (
     LoopQuadrature,
     PlaneWaveContext,
+    _dyson_dress,
     _loop_windows,
+    _self_energy,
+    _tree_propagators,
     dyson_dress,
     mean_fields,
     photon_green,
@@ -19,10 +27,21 @@ from nlmedium.fieldspace import (
     tree_propagators,
     vertex,
 )
-from nlmedium.medium import MediumParams, NuConstant, NuZero, gamma_response
+from nlmedium.medium import MediumParams, NuConstant, NuZero, _gamma_values, gamma_response
 from nlmedium.nonlinear import lambda0_tensor, lambda_isotropic
 
 POL = np.array([1.0, 0.0, 0.0])
+BLOCKS = ("aa", "ax", "xa", "xx")
+
+
+def _anisotropic_lambda():
+    """A random complex pair-symmetric coupling: the self-energy is then a general 3x3."""
+    rng = np.random.default_rng(8)
+    lam = rng.normal(size=(3, 3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3, 3))
+    return 0.05 * (lam + lam.transpose(2, 3, 0, 1))
+
+
+ANISOTROPIC = _anisotropic_lambda()
 
 
 def ctx(k, w):
@@ -78,6 +97,35 @@ class TestKernelAndGreen:
     def test_on_shell_pole_raises(self, vacuum):
         with pytest.raises(PropagatorPoleError, match="propagator pole"):
             photon_green(vacuum, ctx(2.0, 2.0))
+
+    @pytest.mark.parametrize("offset, ratio", [(5e-7, 1e-6), (2e-8, 4e-8)])
+    def test_pole_threshold_at_zero_k(self, lossless, offset, ratio):
+        # K_T = w**2 (eps0 - alpha**2 gamma) vanishes at w**2 = 0.75 here,
+        # and |K_T| / s = |0.75 - w**2| / (1.25 - w**2)
+        w = math.sqrt(0.75 + offset)
+        gam = complex(gamma_response(lossless, w)[0, 0])
+        got = abs(1.0 - lossless.alpha**2 * gam) / (1.0 + lossless.alpha**2 * abs(gam))
+        assert got == pytest.approx(ratio, rel=0.01)
+        if ratio <= 1e-7:
+            with pytest.raises(PropagatorPoleError, match="propagator pole"):
+                photon_green(lossless, ctx(0.0, w))
+        else:
+            # the 3x3 determinant rule took |K| <= 2.2e-5 s for a pole at k = 0
+            with pytest.raises(PropagatorPoleError):
+                photon_green_per_sample(lossless, ctx(0.0, w))
+            assert np.all(np.isfinite(photon_green(lossless, ctx(0.0, w))))
+
+    @pytest.mark.parametrize("shift, pole", [(1e-6, False), (5e-8, True)])
+    def test_pole_threshold_for_positive_k(self, vacuum, shift, pole):
+        # |K_T| / s = |w**2 - k**2| / (w**2 + k**2), about ``shift`` here
+        k = 1.3
+        w = k * math.sqrt(1.0 + 2.0 * shift)
+        assert abs(w**2 - k**2) / (w**2 + k**2) == pytest.approx(shift, rel=1e-3)
+        if pole:
+            with pytest.raises(PropagatorPoleError, match="propagator pole"):
+                photon_green(vacuum, ctx(k, w))
+        else:
+            assert np.all(np.isfinite(photon_green(vacuum, ctx(k, w))))
 
     def test_small_frequency_is_not_a_pole(self, lossy):
         # K_tot is w**2 eps(w) I near w = 0 (less k**2 on the transverse
@@ -348,6 +396,126 @@ class TestDyson:
         pi = -1j * inv
         with pytest.raises(DysonPoleError, match="Dyson resummation pole"):
             dyson_dress(g0, pi)
+
+
+def _samples(medium, omegas, ks=(0.0, 1.3)):
+    """Sample arrays (k outer) with gamma, as the CLI builds them."""
+    k = np.repeat(np.asarray(ks), omegas.size)
+    w = np.tile(omegas, len(ks))
+    return k, w, _gamma_values(medium, w) if medium.g else None
+
+
+# media with a loop that converges on them, and a frequency range clear of their poles
+_MEDIA = [
+    ("lossy", LoopQuadrature(1024, 12.0), 3.0),
+    ("lossless", LoopQuadrature(256, 0.5), 0.8),
+    ("vacuum", LoopQuadrature(256, 10.0), 1.2),
+    ("smooth_lossy", LoopQuadrature(1024, 12.0), 3.0),
+]
+
+
+class TestBatchedFieldSpace:
+    """The array path: rows against the one-sample functions, symmetries, the Dyson equation, the 3x3 oracle."""
+
+    @pytest.mark.parametrize("name, quad, top", _MEDIA)
+    def test_batch_rows_equal_one_sample_functions(self, request, name, quad, top):
+        medium = request.getfixturevalue(name)
+        rng = np.random.default_rng(5)
+        omegas = np.concatenate([rng.uniform(0.005, top, 9), -rng.uniform(0.005, top, 4)])
+        k, w, gam = _samples(medium, omegas)
+        g0 = _tree_propagators(medium, k, w, gam)
+        pi = _self_energy(medium, ANISOTROPIC, w, gam, quad)
+        dressed = _dyson_dress(g0, pi.value)
+        for i in range(w.size):
+            c = ctx(float(k[i]), float(w[i]))
+            one = tree_propagators(medium, c)
+            one_pi = self_energy(medium, ANISOTROPIC, float(w[i]), quad)
+            one_dressed = dyson_dress(one, one_pi.value)
+            assert photon_green(medium, c).tobytes() == g0.aa[i].tobytes()
+            assert one_pi.value.tobytes() == pi.value[i].tobytes()
+            assert one_pi.discretization_error == pi.discretization_error[i]
+            assert one_pi.tail_error == pi.tail_error[i]
+            for block in BLOCKS:
+                assert getattr(one, block).tobytes() == getattr(g0, block)[i].tobytes()
+                for form in ("single", "resummed"):
+                    got = getattr(getattr(dressed, form), block)[i]
+                    assert getattr(getattr(one_dressed, form), block).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("name, quad, top", _MEDIA)
+    def test_tree_blocks_under_frequency_reversal(self, request, name, quad, top):
+        medium = request.getfixturevalue(name)
+        omegas = np.linspace(0.005, top, 23)
+        k, w, gam = _samples(medium, np.concatenate([omegas, -omegas]))
+        g0 = _tree_propagators(medium, k, w, gam)
+        plus = np.concatenate([np.arange(23), 46 + np.arange(23)])
+        minus = plus + 23
+        # AA and XX are even: G0(-w) = conj G0(w); the mixing blocks are odd
+        for block in ("aa", "xx"):
+            assert np.array_equal(getattr(g0, block)[minus], np.conj(getattr(g0, block)[plus]))
+        for block in ("ax", "xa"):
+            assert np.array_equal(getattr(g0, block)[minus], -np.conj(getattr(g0, block)[plus]))
+        assert g0.ax.tobytes() == g0.xa.tobytes()
+
+    @pytest.mark.parametrize("source", ["loop", "random"])
+    def test_dyson_equation(self, lossy, source):
+        # G = G0 + G0 Sigma G with Sigma = i Pi in the XX block, to rounding
+        # times the condition number of the resummation matrix; the residual
+        # is measured against |1 - G0 Sigma| |G| + |G0|, as for a linear solve
+        rng = np.random.default_rng(6)
+        k, w, gam = _samples(lossy, np.geomspace(0.005, 3.0, 20))
+        g0 = _tree_propagators(lossy, k, w, gam)
+        if source == "loop":
+            pi = _self_energy(lossy, ANISOTROPIC, w, gam, LoopQuadrature(1024, 12.0)).value
+        else:
+            pi = rng.normal(size=(w.size, 3, 3)) + 1j * rng.normal(size=(w.size, 3, 3))
+        g = _dyson_dress(g0, pi).resummed
+
+        def full(m):
+            return np.block([[m.aa, m.ax], [m.xa, m.xx]])
+
+        sigma = np.zeros((w.size, 6, 6), dtype=complex)
+        sigma[:, 3:, 3:] = 1j * pi
+        residual = full(g) - full(g0) - full(g0) @ sigma @ full(g)
+
+        def norm(m):
+            return np.linalg.norm(m, 2, axis=(1, 2))
+
+        scale = norm(np.eye(6) - full(g0) @ sigma) * norm(full(g)) + norm(full(g0))
+        cond = np.linalg.cond(np.eye(3) - g0.xx @ (1j * pi))
+        assert np.all(norm(residual) <= 64.0 * np.finfo(float).eps * cond * scale)
+
+    @pytest.mark.parametrize("name, quad, top", _MEDIA)
+    @pytest.mark.parametrize("coupling", ["isotropic", "anisotropic"])
+    def test_matches_per_sample_oracle(self, request, name, quad, top, coupling):
+        # the 3x3 path of the oracle: kernels built term by term, LAPACK
+        # inverses, the general vertex per frequency, a Dyson step per sample
+        medium = request.getfixturevalue(name)
+        lam = lambda_isotropic(0.25, 0.4, 0.35) if coupling == "isotropic" else ANISOTROPIC
+        k, w, gam = _samples(medium, np.geomspace(0.005, top, 8))
+        g0 = _tree_propagators(medium, k, w, gam)
+        pi = _self_energy(medium, lam, w, gam, quad)
+        dressed = _dyson_dress(g0, pi.value)
+        for i in range(w.size):
+            c = ctx(float(k[i]), float(w[i]))
+            ref = tree_propagators_per_sample(medium, c)
+            ref_pi = self_energy_per_node(medium, lam, float(w[i]), quad)
+            assert np.max(np.abs(pi.value[i] - ref_pi.value)) <= 1e-13 * np.max(np.abs(ref_pi.value))
+            for block in BLOCKS:
+                tree = getattr(ref, block)
+                assert np.max(np.abs(getattr(g0, block)[i] - tree)) <= 1e-13 * np.max(np.abs(tree))
+            ref_dressed = dyson_dress_per_sample(ref, ref_pi.value)
+            ipi = 1j * ref_pi.value
+            middles = {"single": ipi, "resummed": ipi @ np.linalg.inv(np.eye(3) - ref.xx @ ipi)}
+            for form, middle in middles.items():
+                for block in BLOCKS:
+                    # a dressed block is a sum G0 + G0 M G0 that cancels at
+                    # small w, where |Pi| grows as w**-4: the error is bounded
+                    # by the magnitude of its terms, not of the sum
+                    left, right = getattr(ref, block[0] + "x"), getattr(ref, "x" + block[1])
+                    terms = np.max(np.abs(getattr(ref, block))) + np.max(np.abs(left @ middle @ right))
+                    got = getattr(getattr(dressed, form), block)[i]
+                    want = getattr(getattr(ref_dressed, form), block)
+                    assert np.max(np.abs(got - want)) <= 1e-13 * terms
 
 
 def analytic_sigma(medium, z, n=60_000):

@@ -249,6 +249,15 @@ class TestOneKernelCallPerConsumer:
         fieldspace.photon_green(lossy, ctx)
         assert calls == [4, 4, 1, 1]
 
+    def test_miller_ratio(self, calls, lossy):
+        lam = nonlinear.lambda_isotropic(0.25, 0.4, 0.35)
+        ratio = nonlinear.miller_ratio(lossy, lam, 0.6, 0.5, 0.2, 0.3)
+        assert calls == [4]
+        # the same bits as chi3 over the product of four chi1_scalar reads
+        factors = [chi1_scalar(lossy, w) for w in (0.5, 0.2, 0.3, 0.6)]
+        expected = nonlinear.chi3(lossy, lam, 0.6, 0.5, 0.2, 0.3) / np.prod(np.asarray(factors))
+        assert ratio.tobytes() == expected.tobytes()
+
     def test_comb_plan_of_three_lines(self, calls, lossy):
         lam = nonlinear.lambda_isotropic(0.25, 0.4, 0.35)
         comb = FrequencyComb.from_lines([(w, [0.1, 0.0, 0.0]) for w in (0.3, 0.5, 0.9)], mirror=False)
@@ -309,8 +318,11 @@ class TestChi1:
             assert chi1_scalar(lossy, -w) == np.conj(chi1_scalar(lossy, w))
 
     def test_spectrum_isotropy(self, lossy):
-        spec = chi1_spectrum(lossy, np.linspace(0.1, 3.0, 7))
-        assert spec.max_anisotropy() < 1e-12
+        # every sample is diagonal, with three bitwise equal entries
+        values = chi1_spectrum(lossy, np.linspace(0.1, 3.0, 7)).values
+        diagonal = np.einsum("nii->ni", values)
+        assert diagonal.tobytes() == np.repeat(diagonal[:, :1], 3, axis=1).tobytes()
+        assert not np.any(values[:, ~np.eye(3, dtype=bool)])
 
     def test_spectrum_matches_pointwise_chi1(self, smooth_lossy):
         grid = np.linspace(-5.0, 20.0, 301)
