@@ -13,10 +13,7 @@ from .medium import (
     NuConstant,
     NuTabulated,
     NuZero,
-    Rank2Response,
     chi1,
-    chi1_scalar,
-    chi1_spectrum,
     gamma_response,
     kk_reconstruct,
     reservoir_kernel,

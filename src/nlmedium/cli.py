@@ -6,15 +6,19 @@ the ``--config`` file (an empty one without it) with the ``--medium`` and
 points thus share one set of defaults, and each file is read once.  An
 integer key (``medium.g``, ``grids.omega.n``, ``loop.n_points``,
 ``drive.ladder``, ``seed``) takes an integral number: 0.5 is a validation
-error, not 0.  The commands that read the response at many frequencies
-(``chi3``, ``propagators``, ``dyson``) first evaluate it at all of them in
-one kernel call.  ``propagators`` and ``dyson`` then evaluate all their
-(k, omega) samples as arrays: the scalar Green function and the tree
+error, not 0.  Every input file is read by ``serialize.load_json_file``,
+which rejects ``NaN`` and infinite numbers.  The commands that read the
+response at many frequencies (``chi1``, ``kk-check``, ``chi3``,
+``propagators``, ``dyson``) first evaluate it at all of them in one kernel
+call.  ``propagators`` and ``dyson`` then evaluate all their (k, omega)
+samples as arrays: the scalar Green function and the tree
 blocks on every sample at once, the self-energy with one loop for all
 samples, and the Dyson step with one stacked inverse.  Each command hands
 the values the library returns to one writer call: arrays and complex
 values go to the JSON encoder as they are, and CSV numbers are formatted
-once per distinct value in each block of rows (``serialize``).
+once per distinct value in each block of rows (``serialize``).  The
+medium returns scalars (``Gamma = gamma I``); ``chi1`` alone writes the
+3x3 form, ``gamma I / eps0``, in its artifacts.
 
 Exit codes: 0 success, 2 validation error (including a missing or
 malformed config value), 3 numerical-convergence error, 64 usage error
@@ -40,10 +44,10 @@ from .medium import (
     MediumParams,
     NuZero,
     _config_value,
-    _gamma_values,
     _integer,
     _reject_unknown_keys,
-    chi1_spectrum,
+    chi1,
+    gamma_response,
     kk_reconstruct,
 )
 from .nonlinear import _chi3_values, lambda_from_config
@@ -179,12 +183,14 @@ def _emit_csv(config: RunConfig, name: str, freq_names, freqs: np.ndarray, value
 
 
 def _cmd_chi1(config: RunConfig, args) -> list:
-    spectrum = chi1_spectrum(config.medium, config.omega_grid)
-    grid = spectrum.freq_grid
+    medium, grid = config.medium, config.omega_grid
+    # the 3x3 form exists only here; g = 0 gives exact zeros without a kernel call
+    gamma = gamma_response(medium, grid) if medium.g else np.zeros(grid.size, dtype=complex)
+    values = gamma[:, None, None] * np.eye(3, dtype=complex) / medium.eps0
     if config.out_format == "json":
-        samples = [{"omega": w, "chi1": m} for w, m in zip(grid, spectrum.values)]
+        samples = [{"omega": w, "chi1": m} for w, m in zip(grid, values)]
         return _emit_json(config, "chi1.json", {"seed": config.seed, "samples": samples})
-    return _emit_csv(config, "chi1.csv", ("omega",), grid[:, None], spectrum.values.reshape(grid.size, 9), _COMPONENTS)
+    return _emit_csv(config, "chi1.csv", ("omega",), grid[:, None], values.reshape(grid.size, 9), _COMPONENTS)
 
 
 def _cmd_chi3(config: RunConfig, args) -> list:
@@ -206,7 +212,7 @@ def _cmd_kk_check(config: RunConfig, args) -> list:
         report = {"seed": config.seed, "lossless": True, "note": "no absorption; KK trivially satisfied", "pass": True}
         return _emit_json(config, "kk_check.json", report)
     grid = config.omega_grid
-    vals = chi1_spectrum(config.medium, grid).values[:, 0, 0]
+    vals = chi1(config.medium, grid)
     recon = kk_reconstruct(grid, vals.imag)
     n = grid.size
     interior = slice(int(0.1 * n), int(0.9 * n))
@@ -225,7 +231,7 @@ def _tree_samples(medium: MediumParams, k_values, omega_grid) -> tuple:
     medium (g = 0, where it is None) or when there are no samples.
     """
     grid = omega_grid[omega_grid != 0.0] if len(k_values) else omega_grid[:0]
-    gam = np.tile(_gamma_values(medium, grid), len(k_values)) if medium.g else None
+    gam = np.tile(gamma_response(medium, grid), len(k_values)) if medium.g else None
     k, omega = np.repeat(k_values, grid.size), np.tile(grid, len(k_values))
     return k, omega, gam, _tree_propagators(medium, k, omega, gam)
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, StepSizeError
-from .medium import MediumParams, _gamma_list
+from .medium import MediumParams, gamma_response
 from .nonlinear import _check_energy, _dress, validate_pairwise_symmetry
 
 __all__ = [
@@ -202,7 +202,7 @@ class _CombPlan:
         # gamma at every line and at the four slots of every frequency key,
         # from one kernel call; each key is dressed once
         n = len(freqs)
-        gammas = _gamma_list(medium, [*freqs, *itertools.chain(*keys)]) if medium.g else [None] * n
+        gammas = gamma_response(medium, [*freqs, *itertools.chain(*keys)]).tolist() if medium.g else [None] * n
         tensors = [medium.alpha**4 * _dress(lam, medium.g, gammas[i : i + 4]) for i in range(n, len(gammas), 4)]
 
         # merge output frequencies that agree within tolerance; the representative

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .displacement import FrequencyComb, displacement
+from .displacement import FrequencyComb, _CombPlan
 from .errors import (
     DivergenceError,
     InputError,
@@ -40,7 +40,7 @@ from .errors import (
     ResonantHarmonicError,
     WindowAlignmentError,
 )
-from .medium import MediumParams, _gamma_scalar, _sigma_values
+from .medium import MediumParams, reservoir_kernel
 
 __all__ = [
     "DuffingParams",
@@ -275,8 +275,8 @@ def duffing_from_medium(medium: MediumParams, lam: np.ndarray, drive_freq: float
     if medium.g == 0:
         raise InputError("oscillator mapping needs a medium (g = 1)")
     lam_scalar = float(np.real(np.asarray(lam)[0, 0, 0, 0]))
-    sigma0 = _sigma_values(medium, [medium.omega0])[0]
-    gamma = medium.eps0 * medium.chi_s * medium.omega0**3 * float(sigma0.imag)
+    sigma0 = reservoir_kernel(medium, medium.omega0)
+    gamma = medium.eps0 * medium.chi_s * medium.omega0**3 * sigma0.imag
     eta = -4.0 * lam_scalar * medium.eps0 * medium.omega0**2 * medium.chi_s / medium.g
     return DuffingParams(
         omega0=medium.omega0,
@@ -335,8 +335,9 @@ def _energy_balance(traj: Trajectory, params: DuffingParams) -> float:
 def _displacement_thg_ratio(medium: MediumParams, lam: np.ndarray, wd: float) -> complex:
     """Comb-path prediction for the oscillator ratio A3/A1**3.
 
-    Runs ``displacement`` on a one-line comb, extracts the third-harmonic
-    coefficient c = D_nl(3 wd) / a**3, and converts it to oscillator units:
+    Evaluates the ``displacement`` plan of a one-line comb at 3 wd,
+    extracts the third-harmonic coefficient c = D_nl(3 wd) / a**3, and
+    converts it to oscillator units with the plan's own gamma(wd):
     the polarization per matter amplitude is g**2/alpha, the linear matter
     response per field is (alpha/g) Gamma, and the comb channels carry the
     combinatorial weight 2/(16*4!) = 1/192.  The remaining conjugation
@@ -344,9 +345,11 @@ def _displacement_thg_ratio(medium: MediumParams, lam: np.ndarray, wd: float) ->
     """
     a = 1e-3
     comb = FrequencyComb.from_lines([(wd, [a, 0.0, 0.0])])
-    out = displacement(comb, medium, lam)
-    c_thg = out.amplitude_at(math.fsum((wd, wd, wd)))[0] / a**3
-    gb1 = _gamma_scalar(medium, wd)
+    plan = _CombPlan([w for w, _ in comb.lines], comb.tolerance, medium, lam)
+    amps = np.array([[amp for _, amp in comb.lines]], dtype=complex)
+    c_thg = plan.amplitude_at(math.fsum((wd, wd, wd)), amps)[0, 0] / a**3
+    # the linear term of the output line at wd carries gamma(wd)
+    _, [(_, gb1)], _ = next(group for group in plan.groups if abs(group[0] - wd) <= plan.tolerance)
     g = medium.g
     alpha = medium.alpha
     x_ratio = c_thg * g / (alpha**2 * gb1**3)

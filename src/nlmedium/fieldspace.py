@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DysonPoleError, InputError, LoopConvergenceError, PropagatorPoleError
-from .medium import MediumParams, _gamma_scalar, _gamma_values
+from .medium import MediumParams, gamma_response
 from .nonlinear import _FACT4
 
 __all__ = [
@@ -124,7 +124,7 @@ class MeanField:
 def _one_sample(medium: MediumParams, ctx: PlaneWaveContext) -> tuple:
     """(k, w, gamma(w)) of one mode as one-element arrays; outside a medium (g = 0) gamma is None."""
     omega = np.asarray([float(ctx.omega)])
-    return np.asarray([float(ctx.k)]), omega, _gamma_values(medium, omega) if medium.g else None
+    return np.asarray([float(ctx.k)]), omega, gamma_response(medium, omega) if medium.g else None
 
 
 def _kernel(medium: MediumParams, k, omega, gam) -> tuple:
@@ -183,7 +183,7 @@ def total_source(medium: MediumParams, j_src, f_src, omega: float) -> np.ndarray
     f_src = np.asarray(f_src, dtype=complex)
     coupled = j_src
     if medium.g and np.any(f_src):
-        coupled = j_src + 0.5 * medium.alpha * medium.g * (_gamma_scalar(medium, float(omega)) * f_src)
+        coupled = j_src + 0.5 * medium.alpha * medium.g * (gamma_response(medium, float(omega)) * f_src)
     return 1j * omega * coupled
 
 
@@ -325,7 +325,7 @@ def _loop_integrals(medium: MediumParams, quadrature: LoopQuadrature) -> tuple:
     """
     windows = _loop_windows(quadrature)
     absw, inverse = np.unique(np.abs(np.concatenate(windows)), return_inverse=True)
-    gam = _gamma_values(medium, absw)
+    gam = gamma_response(medium, absw)
     m = medium.eps0 - medium.g * medium.alpha**2 * gam
     if np.any(m == 0.0):
         # W**2 D(W, 0) has a pole on a node: the matter block is singular
@@ -402,7 +402,7 @@ def self_energy(
     ``PropagatorPoleError`` naming the node.
     """
     omega = np.asarray([float(omega)])
-    res = _self_energy(medium, lam, omega, _gamma_values(medium, omega) if medium.g else None, quadrature)
+    res = _self_energy(medium, lam, omega, gamma_response(medium, omega) if medium.g else None, quadrature)
     return SelfEnergyResult(
         value=res.value[0],
         error_estimate=float(res.error_estimate[0]),

@@ -19,19 +19,21 @@ with ``q = |nu|**2`` and ``U`` the support end capped at ``loop_cutoff``.
 ``sigma(0) = 0`` exactly, so ``chi1(0) = chi_s`` in the lossless and lossy
 cases alike.
 
-Evaluation: one principal-value quadrature serves every caller.  It takes
-an array of positive frequencies, one quadrature row each, and runs them
-in chunks that keep every temporary at or below 2**15 elements.  The base
+Evaluation: three entry points, ``reservoir_kernel``, ``gamma_response``
+and ``chi1``, each take a frequency or an array of frequencies and return
+complex values of the same shape (a Python complex for a scalar).  The
+response is isotropic (``Gamma = gamma I``), so the scalars are all of
+it; only the CLI writes 3x3 forms.  All three reach one principal-value
+quadrature, ``_kernel``, with one call that evaluates each distinct
+nonzero |omega| once.  It runs its rows in chunks that keep every
+temporary at or below 2**15 elements.  The base
 sum of a row is one contraction (``einsum``, no BLAS) of the
 pole-subtracted integrand with fixed trapezoid weights; the row's pole
-cluster is then merged in.  Rows are independent bitwise: a value does not
-depend on which other frequencies share the call.  ``chi1_spectrum``
-evaluates a whole grid with one such call.  gamma has one implementation,
-on arrays (``_gamma_values``).  Nothing is cached: a caller that needs
-gamma at many frequencies asks for all of them in one call, and
-``chi1``, ``chi1_scalar``, ``gamma_response`` and ``reservoir_kernel``
-evaluate a one-element array, so scalar values equal array values
-bitwise.  The static quadrature nodes are built once per kernel call.
+cluster is then merged in.  Rows are independent bitwise: a value does
+not depend on which other frequencies share the call, so a scalar call
+gives the bits of the same frequency in any array.  Nothing is cached: a
+caller that needs gamma at many frequencies asks for all of them in one
+call.  The static quadrature nodes are built once per kernel call.
 Negative frequencies are folded by complex conjugation, so Hermitian
 analyticity holds bitwise.  ``kk_reconstruct`` is a row-chunked matrix
 form of the Kramers-Kronig sum.
@@ -57,12 +59,9 @@ __all__ = [
     "NuConstant",
     "NuTabulated",
     "MediumParams",
-    "Rank2Response",
     "reservoir_kernel",
     "gamma_response",
     "chi1",
-    "chi1_scalar",
-    "chi1_spectrum",
     "kk_reconstruct",
     "nu_from_config",
 ]
@@ -183,15 +182,16 @@ def _config_value(section: str, cfg: dict, key: str, convert, default=_REQUIRED)
     """``convert(cfg[key])``, with ``default`` standing in for an absent key.
 
     A missing key without a default, or a value that ``convert`` rejects
-    with ``TypeError`` or ``ValueError``, raises ``InputError`` naming the
-    section and the key.
+    with ``TypeError``, ``ValueError`` or ``OverflowError`` (an integer
+    too large for a float), raises ``InputError`` naming the section and
+    the key.
     """
     value = cfg.get(key, default)
     if value is _REQUIRED:
         raise InputError(f"config section {section!r} needs key {key!r}")
     try:
         return convert(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputError(f"bad value for key {key!r} in config section {section!r}") from None
 
 
@@ -223,8 +223,7 @@ class MediumParams:
     supplied through the config.  The reservoir mass density ``rho`` is
     taken constant in frequency.  The kernel's pole prescription is taken
     in its limit analytically (principal value plus half residue), so there
-    is no regulator parameter; ``from_config`` still accepts and ignores an
-    ``ieps`` key so that older configs keep loading.
+    is no regulator parameter.
     """
 
     omega0: float
@@ -253,7 +252,7 @@ class MediumParams:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "MediumParams":
-        _reject_unknown_keys("medium", cfg, (*cls.__dataclass_fields__, "ieps"))
+        _reject_unknown_keys("medium", cfg, cls.__dataclass_fields__)
         omega0 = _config_value("medium", cfg, "omega0", float)
         return cls(
             omega0=omega0,
@@ -279,24 +278,6 @@ class MediumParams:
             "mu0": self.mu0,
             "loop_cutoff": self.loop_cutoff,
         }
-
-
-@dataclass(frozen=True)
-class Rank2Response:
-    """A 3x3 complex response sampled on an ascending frequency grid."""
-
-    freq_grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.freq_grid, dtype=float)
-        vals = np.asarray(self.values, dtype=complex)
-        if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
-            raise InputError("freq_grid must be strictly increasing")
-        if vals.shape != (grid.size, 3, 3):
-            raise InputError("values must have shape (n, 3, 3)")
-        object.__setattr__(self, "freq_grid", grid)
-        object.__setattr__(self, "values", vals)
 
 
 # Row chunks keep every (rows x nodes) temporary of the kernel and of the
@@ -520,96 +501,61 @@ def _kernel(params: MediumParams, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigma_values(params: MediumParams, omega) -> np.ndarray:
-    """Reservoir kernel on a frequency array; Hermitian analyticity is exact by folding."""
-    w = np.asarray(omega, dtype=float)
-    a = np.abs(w)
-    out = np.zeros(w.shape, dtype=complex)
-    nonzero = a != 0.0
-    out[nonzero] = _kernel(params, a[nonzero])
-    return np.where(w < 0.0, out.conj(), out)
+def _shaped(values: np.ndarray, w: np.ndarray):
+    """``values``, evaluated on ``w.reshape(-1)``, in the shape of ``w``; a Python complex for a scalar ``w``."""
+    return complex(values[0]) if w.ndim == 0 else values.reshape(w.shape)
 
 
-def _isotropic(value: complex) -> np.ndarray:
-    """``value`` times the 3x3 identity, with the diagonal holding ``value`` exactly."""
-    return np.diag(np.full(3, value, dtype=complex))
+def reservoir_kernel(params: MediumParams, omega):
+    """Reservoir kernel sigma at a frequency or an array of frequencies.
 
-
-def reservoir_kernel(params: MediumParams, omega: float) -> np.ndarray:
-    """Reservoir kernel sigma(omega) as an isotropic 3x3 complex matrix.
-
-    ``Im sigma(w) >= 0`` for ``w > 0`` (passive prescription) and
-    ``sigma(-w) = conj(sigma(w))`` holds bitwise.
+    Returns complex values of the shape of ``omega``, a Python complex for
+    a scalar.  One ``_kernel`` call evaluates each distinct nonzero
+    |omega| once; ``sigma(0) = 0`` exactly.  ``Im sigma(w) >= 0`` for
+    ``w > 0`` (passive prescription), and negative frequencies are folded
+    by conjugation, so ``sigma(-w) = conj(sigma(w))`` holds bitwise.
     """
-    return _isotropic(_sigma_values(params, np.asarray([float(omega)]))[0])
+    w = np.asarray(omega, dtype=float)
+    flat = w.reshape(-1)
+    a = np.abs(flat)
+    out = np.zeros(a.shape, dtype=complex)
+    nonzero = a != 0.0
+    distinct, inverse = np.unique(a[nonzero], return_inverse=True)
+    out[nonzero] = _kernel(params, distinct)[inverse]
+    return _shaped(np.where(flat < 0.0, out.conj(), out), w)
 
 
-def _gamma_values(params: MediumParams, omega) -> np.ndarray:
-    """Composite response gamma on a frequency array, with one kernel call.
+def gamma_response(params: MediumParams, omega):
+    """Composite matter+reservoir response gamma (``Gamma = gamma I``), with one kernel call.
 
-    The one implementation of gamma; ``_gamma_scalar`` reads it at one
-    frequency and ``_gamma_list`` at many.  The static limit
+    Shapes as for ``reservoir_kernel``.  The static limit
     ``gamma(0) = eps0 chi_s`` is exact, and negative frequencies are folded
     by conjugation.  A pole is a denominator below 1e-14 of its static
     value omega0**2, a test that does not depend on the unit of frequency.
     """
     w = np.asarray(omega, dtype=float)
-    a = np.abs(w)
+    flat = w.reshape(-1)
+    a = np.abs(flat)
     w0sq = params.omega0**2
-    sigma = _sigma_values(params, a)
+    sigma = reservoir_kernel(params, a)
     den = w0sq - a**2 - a**2 * w0sq * params.eps0 * params.chi_s * sigma
     if np.any(np.abs(den) < 1e-14 * w0sq):
         raise ResponsePoleError("response pole hit")
     gamma = params.eps0 * w0sq * params.chi_s / den
     gamma[a == 0.0] = params.eps0 * params.chi_s
-    return np.where(w < 0.0, gamma.conj(), gamma)
+    return _shaped(np.where(flat < 0.0, gamma.conj(), gamma), w)
 
 
-def _gamma_scalar(params: MediumParams, omega: float) -> complex:
-    """``_gamma_values`` at one frequency, bitwise, as a Python complex."""
-    return complex(_gamma_values(params, np.asarray([omega]))[0])
+def chi1(params: MediumParams, omega):
+    """Linear susceptibility chi1 = g gamma / eps0 (``chi1 I`` as a tensor).
 
-
-def _gamma_list(params: MediumParams, omegas) -> list:
-    """``_gamma_values`` at each of ``omegas``, as Python complex values.
-
-    One kernel call covers the distinct frequencies; a frequency that
-    occurs several times is evaluated once.
+    Shapes as for ``reservoir_kernel``.  Outside a medium (g = 0) chi1 is
+    exactly zero and no kernel is evaluated.
     """
-    distinct, inverse = np.unique(np.asarray(omegas, dtype=float), return_inverse=True)
-    return _gamma_values(params, distinct)[inverse].tolist()
-
-
-def gamma_response(params: MediumParams, omega: float) -> np.ndarray:
-    """Composite matter+reservoir response Gamma(omega), 3x3 complex."""
-    return _isotropic(_gamma_scalar(params, float(omega)))
-
-
-def chi1(params: MediumParams, omega: float) -> np.ndarray:
-    """Linear susceptibility chi1(omega) = g * Gamma(omega) / eps0."""
-    return _isotropic(chi1_scalar(params, omega))
-
-
-def chi1_scalar(params: MediumParams, omega: float) -> complex:
-    """Scalar value of the (isotropic) linear susceptibility."""
+    w = np.asarray(omega, dtype=float)
     if params.g == 0:
-        return 0.0 + 0.0j
-    return _gamma_scalar(params, float(omega)) / params.eps0
-
-
-def chi1_spectrum(params: MediumParams, freq_grid) -> Rank2Response:
-    """Sample chi1 on a frequency grid in one vectorised pass.
-
-    One kernel call covers the whole grid, in row chunks of bounded size.
-    Values agree with ``chi1`` point by point to rounding.
-    """
-    grid = np.asarray(freq_grid, dtype=float)
-    if params.g == 0:
-        return Rank2Response(freq_grid=grid, values=np.zeros((grid.size, 3, 3), dtype=complex))
-    gamma = _gamma_values(params, grid)
-    return Rank2Response(
-        freq_grid=grid, values=gamma[:, None, None] * np.eye(3, dtype=complex) / params.eps0
-    )
+        return _shaped(np.zeros(w.size, dtype=complex), w)
+    return _shaped(gamma_response(params, w.reshape(-1)) / params.eps0, w)
 
 
 def kk_reconstruct(freq_grid, im_part) -> np.ndarray:

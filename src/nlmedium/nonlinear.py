@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnergyConservationError, InputError, MillerRatioError
-from .medium import MediumParams, _config_value, _gamma_list, _reject_unknown_keys
+from .medium import MediumParams, _config_value, _reject_unknown_keys, gamma_response
 
 __all__ = [
     "lambda_isotropic",
@@ -118,7 +118,7 @@ def _lambda0_values(lam: np.ndarray, medium: MediumParams, keys) -> list:
 
     Outside a medium (g = 0) no gamma is evaluated.
     """
-    gammas = _gamma_list(medium, np.reshape(keys, -1)) if medium.g else [None] * (4 * len(keys))
+    gammas = gamma_response(medium, np.reshape(keys, -1)).tolist() if medium.g else [None] * (4 * len(keys))
     return [_dress(lam, medium.g, gammas[i : i + 4]) for i in range(0, len(gammas), 4)]
 
 
@@ -208,7 +208,7 @@ def miller_ratio(medium: MediumParams, lam: np.ndarray, w, w1, w2, w3) -> np.nda
     One kernel call gives gamma at the four frequencies, which serve both
     the chi1 factors and chi3.
     """
-    gammas = _gamma_list(medium, [w1, w2, w3, w]) if medium.g else [0j] * 4
+    gammas = gamma_response(medium, [w1, w2, w3, w]).tolist() if medium.g else [0j] * 4
     factors = [gam / medium.eps0 for gam in gammas]
     if any(abs(c) < 1e-14 for c in factors):
         raise MillerRatioError("Miller ratio undefined at transparency point")

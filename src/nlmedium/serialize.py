@@ -20,6 +20,7 @@ a sample.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -98,10 +99,23 @@ def write_csv(path, header, lead, values, components) -> None:
 
 
 def load_json_file(path):
-    """Parse a JSON file; decoding errors keep their line/column info."""
+    """Parse a JSON file; decoding errors keep their line/column info.
+
+    ``NaN``, ``Infinity`` and ``-Infinity`` are not JSON numbers (RFC 8259),
+    and a number such as ``1e999`` overflows to infinity; each raises
+    ``InputError`` naming the file and the token.
+    """
+
+    def reject(token):
+        raise InputError(f"non-finite number {token} in {path}")
+
+    def finite(token):
+        value = float(token)
+        return value if math.isfinite(value) else reject(token)
+
     with open(path) as fh:
         text = fh.read()
-    return json.loads(text)
+    return json.loads(text, parse_constant=reject, parse_float=finite)
 
 
 def comb_to_obj(comb) -> list:

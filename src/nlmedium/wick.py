@@ -334,9 +334,6 @@ class PolynomialTerms:
     def bucket(self, k: int):
         return (self.p0, self.p1, self.p2, self.p3, self.p4)[k]
 
-    def total(self) -> complex:
-        return sum(t.coefficient * t.value for b in range(5) for t in self.bucket(b))
-
 
 def _contract_class(tensor, kinds, match, quad, m_ins, mp_ins, d_mats, tol):
     """Value of one assembled term: pairings then insertions."""

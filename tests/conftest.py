@@ -40,8 +40,6 @@ from nlmedium.medium import (
     NuConstant,
     NuTabulated,
     NuZero,
-    _gamma_scalar,
-    _gamma_values,
     _static_nodes,
     chi1,
     gamma_response,
@@ -90,7 +88,7 @@ def naive_displacement_line(comb, medium, lam, omega_out):
         if abs(w - omega_out) <= comb.tolerance:
             vec = [(medium.eps0 * re, medium.eps0 * im) for re, im in a]
             if medium.g:
-                gam = _pair(gamma_response(medium, w)[0, 0])
+                gam = _pair(gamma_response(medium, w))
                 vec = [(e[0] + p[0], e[1] + p[1]) for e, p in zip(vec, (_product(gam, v) for v in a))]
             parts.append(vec)
     for wj, aj in lines:
@@ -151,7 +149,7 @@ def dressing(medium, lam):
     def dressed(*key):
         return medium.alpha**4 * lambda0_tensor(lam, medium, *key)
 
-    dressed.gamma = functools.cache(lambda w: gamma_response(medium, w)[0, 0])
+    dressed.gamma = functools.cache(lambda w: gamma_response(medium, w))
     return dressed
 
 
@@ -275,10 +273,7 @@ def chi3_two_permutation(medium, lam, w, w1, w2, w3):
     written directly, without ``lambda0``.
     """
     lam = np.asarray(lam, dtype=complex)
-    x1 = chi1(medium, w1)
-    x2 = chi1(medium, w2)
-    x3 = chi1(medium, w3)
-    x0 = chi1(medium, w)
+    x1, x2, x3, x0 = (chi1(medium, v) * np.eye(3) for v in (w1, w2, w3, w))
     term1 = np.einsum("gsrk,ag,bs,mr,nk->abmn", lam, x1, x2, x3, x0)
     term2 = np.einsum("gkrs,ag,nk,mr,bs->abmn", lam, x1, x2, x3, x0)
     return (medium.eps0**3 * medium.alpha**4 / 32.0) * (term1 + term2) / 24.0
@@ -388,7 +383,7 @@ def photon_green_per_sample(medium, ctx):
     for k > 0) is a pole when |det| <= 1e-14 times the product of the row
     norms of the summed term magnitudes.
     """
-    gam = _gamma_scalar(medium, float(ctx.omega)) if medium.g else None
+    gam = gamma_response(medium, float(ctx.omega)) if medium.g else None
     terms = _kernel_terms_per_sample(medium, ctx, gam)
     kernel = sum(terms)
     scale = sum(np.abs(term) for term in terms)
@@ -408,7 +403,7 @@ def tree_propagators_per_sample(medium, ctx):
     if medium.g == 0:
         zero = np.zeros((3, 3), dtype=complex)
         return PropagatorMatrix(aa=d, ax=zero, xa=zero.copy(), xx=zero.copy())
-    gam = _gamma_scalar(medium, float(ctx.omega))
+    gam = gamma_response(medium, float(ctx.omega))
     w, a = ctx.omega, medium.alpha
     xx = gam * np.eye(3) + a**2 * w**2 * (gam * gam * d)
     mixing = a * w * (gam * d)
@@ -444,7 +439,7 @@ def _loop_trapezoid(medium, vert, cutoff, n_points):
     nodes = np.linspace(-cutoff, cutoff, n_points)
     # Gamma(|W|) at every node from one kernel call: rows are bitwise
     # independent of their batch, so each equals gamma_response(medium, |W|)
-    gammas = [np.diag(np.full(3, gam)) for gam in _gamma_values(medium, np.abs(nodes))]
+    gammas = [np.diag(np.full(3, gam)) for gam in gamma_response(medium, np.abs(nodes))]
     samples = np.asarray([np.einsum("abmg,bm->ag", vert, _internal_xx(medium, gam)) for gam in gammas])
     return np.trapezoid(samples, nodes, axis=0) / (2.0 * np.pi)
 

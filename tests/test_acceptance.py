@@ -18,7 +18,7 @@ from nlmedium.displacement import FrequencyComb, displacement, extract_chi3_fd
 from nlmedium.duffing import compare_chi3
 from nlmedium.errors import LoopConvergenceError
 from nlmedium.fieldspace import LoopQuadrature, MeanField, PlaneWaveContext, dyson_dress, self_energy, tree_propagators
-from nlmedium.medium import MediumParams, NuConstant, NuTabulated, NuZero, chi1_scalar, kk_reconstruct
+from nlmedium.medium import MediumParams, NuConstant, NuTabulated, NuZero, chi1, kk_reconstruct
 from nlmedium.nonlinear import chi3, lambda0_tensor, lambda_isotropic, miller_ratio, source_dressed_tensors
 from nlmedium.wick import (
     EvaluationContext,
@@ -41,11 +41,11 @@ def report(number, name, passed, detail=""):
 
 def test_criterion_01_static_limit():
     lossless = MediumParams(omega0=1.3, chi_s=0.85, alpha=0.5, rho=1.0, nu=NuZero(), loop_cutoff=30.0)
-    err_lossless = abs(chi1_scalar(lossless, 0.0) - lossless.chi_s)
+    err_lossless = abs(chi1(lossless, 0.0) - lossless.chi_s)
     weak = MediumParams(
         omega0=1.3, chi_s=0.85, alpha=0.5, rho=1.0, nu=NuConstant(1e-3, 10.0), loop_cutoff=30.0
     )
-    err_weak = abs(chi1_scalar(weak, 0.0) - weak.chi_s)
+    err_weak = abs(chi1(weak, 0.0) - weak.chi_s)
     report(
         1,
         "static limit chi1(0) = chi_s",
@@ -68,7 +68,7 @@ def test_criterion_02_kramers_kronig_closure():
         loop_cutoff=25.0,
     )
     grid = np.linspace(0.0, 20.0, 4096)
-    vals = np.asarray([chi1_scalar(med, w) for w in grid])
+    vals = chi1(med, grid)
     recon = kk_reconstruct(grid, vals.imag)
     n = grid.size
     interior = slice(int(0.1 * n), int(0.9 * n))
@@ -87,7 +87,7 @@ def test_criterion_03_passivity_sweep():
             omega0=w0, chi_s=chi_s, alpha=0.5, rho=0.5, nu=NuConstant(nu0, 8.0 * w0), loop_cutoff=20.0 * w0
         )
         for w in rng.uniform(0.01, 6.0 * w0, size=8):
-            worst = min(worst, chi1_scalar(med, float(w)).imag)
+            worst = min(worst, chi1(med, float(w)).imag)
     report(3, "passivity Im chi1 >= -1e-12 across random sweep", worst >= -1e-12, f"min Im {worst:.2e}")
 
 

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import dumps_canonical_prepass, write_csv_per_cell
 from nlmedium import cli, fieldspace, serialize
 from nlmedium.cli import EXIT_BAD_JSON, EXIT_NUMERICS, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from nlmedium.medium import MediumParams, chi1_spectrum
+from nlmedium.medium import MediumParams, gamma_response
 from nlmedium.nonlinear import chi3, lambda_from_config
 from nlmedium.serialize import (
     comb_from_obj,
@@ -315,6 +315,33 @@ class TestExitCodes:
         bad.write_text("{broken")
         assert main(["--config", str(bad), "chi1"]) == EXIT_BAD_JSON
 
+    # each input file has one placeholder number, standing in for the token
+    _INPUTS = {
+        "config": {"loop": {"cutoff": 6.5}, "seed": 3},
+        "medium": {"omega0": 1.0, "chi_s": 1.25, "alpha": 0.5, "rho": 0.8, "loop_cutoff": 30.0},
+        "lambda": {"isotropic": [0.05, 0.08, 0.0625]},
+        "in": [{"omega": 0.3, "amp": [[0.0078125, 0.0], [0.0, 0.0], [0.0, 0.0]]}],
+    }
+    _PLACEHOLDERS = {"config": "6.5", "medium": "1.25", "lambda": "0.0625", "in": "0.0078125"}
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("role", ["config", "medium", "lambda", "in"])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, role, token):
+        # Python's json reads these tokens as floats; they are not JSON numbers
+        paths = {name: tmp_path / f"{name}.json" for name in self._INPUTS}
+        for name, obj in self._INPUTS.items():
+            paths[name].write_text(json.dumps(obj))
+        argv = ["--config", str(paths["config"]), "--out", str(tmp_path / "out"), "displacement"]
+        argv += ["--in", str(paths["in"]), "--medium", str(paths["medium"]), "--lambda", str(paths["lambda"])]
+        assert main(argv) == EXIT_OK
+        text = paths[role].read_text()
+        assert text.count(self._PLACEHOLDERS[role]) == 1
+        paths[role].write_text(text.replace(self._PLACEHOLDERS[role], token))
+        capsys.readouterr()
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert token in err and str(paths[role]) in err
+
     def test_validation_error(self, tmp_path):
         cfg = {"medium": {"omega0": -1.0, "chi_s": 1.0, "alpha": 1.0, "rho": 1.0}}
         path = tmp_path / "c.json"
@@ -350,11 +377,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "section, key",
-        [("medium", "omgea0"), ("grids", "omgea"), ("loop", "n_point"), ("drive", "frq"), ("outputs", "fromat")],
+        [
+            ("medium", "omgea0"),
+            ("medium", "ieps"),
+            ("grids", "omgea"),
+            ("loop", "n_point"),
+            ("drive", "frq"),
+            ("outputs", "fromat"),
+        ],
     )
     def test_unknown_config_key(self, tmp_path, capsys, section, key):
         cfg = {
-            "medium": {"omega0": 1.0, "chi_s": 1.0, "alpha": 0.5, "rho": 1.0, "loop_cutoff": 30.0, "ieps": 1e-12},
+            "medium": {"omega0": 1.0, "chi_s": 1.0, "alpha": 0.5, "rho": 1.0, "loop_cutoff": 30.0},
             "lambda": {"isotropic": [0.05, 0.08, 0.05]},
             "grids": {"omega": [0.5]},
             "loop": {"n_points": 256},
@@ -376,8 +410,10 @@ class TestExitCodes:
             ("loop", "n_points", lambda cfg: cfg["loop"].update(n_points="abc")),
             ("grids.omega", "n", lambda cfg: cfg["grids"]["omega"].pop("n")),
             ("medium.nu", "omega_cut", lambda cfg: cfg["medium"]["nu"].pop("omega_cut")),
+            # a JSON integer that float() cannot convert (OverflowError)
+            ("medium", "chi_s", lambda cfg: cfg["medium"].update(chi_s=10**400)),
         ],
-        ids=["missing-rho", "text-n-points", "grid-without-n", "constant-nu-without-cut"],
+        ids=["missing-rho", "text-n-points", "grid-without-n", "constant-nu-without-cut", "integer-beyond-float"],
     )
     def test_bad_config_value(self, config_path, tmp_path, capsys, section, key, edit):
         cfg = read_json(config_path)
@@ -606,7 +642,8 @@ class TestWriterAgainstReference:
         # with the generator writer that formatted the whole table in one
         # pass; the block writer must stay within that plus 10%
         grid = np.linspace(0.0, 20.0, 4096)
-        values = chi1_spectrum(smooth_lossy, grid).values.reshape(grid.size, 9)
+        gamma = gamma_response(smooth_lossy, grid)
+        values = (gamma[:, None, None] * np.eye(3, dtype=complex) / smooth_lossy.eps0).reshape(grid.size, 9)
         header = ("omega", "component", "re", "im")
         tracemalloc.start()
         try:
@@ -630,9 +667,11 @@ class TestWriterAgainstReference:
             assert main(["--config", str(path), "--out", str(out), "--format", fmt, command]) == EXIT_OK
         medium = MediumParams.from_config(cfg["medium"])
         lam = lambda_from_config(cfg["lambda"])
-        spectrum = chi1_spectrum(medium, np.linspace(0.0, 3.0, 12))
-        assert np.any(spectrum.values.real < 0)
-        quads = [(w, w, w) for w in spectrum.freq_grid if w != 0.0]
+        grid = np.linspace(0.0, 3.0, 12)
+        # the chi1 tensor chi1 I, from gamma
+        spectrum = gamma_response(medium, grid)[:, None, None] * np.eye(3, dtype=complex) / medium.eps0
+        assert np.any(spectrum.real < 0)
+        quads = [(w, w, w) for w in grid if w != 0.0]
         tensors = [chi3(medium, lam, w, w, w, w).reshape(-1) for w, _, _ in quads]
         ref = tmp_path / "ref"
         ref.mkdir()
@@ -641,7 +680,7 @@ class TestWriterAgainstReference:
                 return [[v.real, v.imag] for v in values]
 
             chi1_samples = [
-                {"omega": w, "chi1": [pairs(row) for row in m]} for w, m in zip(spectrum.freq_grid, spectrum.values)
+                {"omega": w, "chi1": [pairs(row) for row in m]} for w, m in zip(grid, spectrum)
             ]
             chi3_samples = [
                 {"w": w, "w1": w, "w2": w, "w3": w, "chi3": pairs(t)} for (w, _, _), t in zip(quads, tensors)
@@ -652,7 +691,7 @@ class TestWriterAgainstReference:
             comps = [f"{i}{j}" for i in range(3) for j in range(3)]
             chi1_rows = [
                 (w, c, v.real, v.imag)
-                for w, m in zip(spectrum.freq_grid, spectrum.values)
+                for w, m in zip(grid, spectrum)
                 for c, v in zip(comps, m.reshape(-1))
             ]
             chi3_rows = [

@@ -27,7 +27,7 @@ from nlmedium.fieldspace import (
     tree_propagators,
     vertex,
 )
-from nlmedium.medium import MediumParams, NuConstant, NuZero, _gamma_values, gamma_response
+from nlmedium.medium import MediumParams, NuConstant, NuZero, gamma_response
 from nlmedium.nonlinear import lambda0_tensor, lambda_isotropic
 
 POL = np.array([1.0, 0.0, 0.0])
@@ -103,7 +103,7 @@ class TestKernelAndGreen:
         # K_T = w**2 (eps0 - alpha**2 gamma) vanishes at w**2 = 0.75 here,
         # and |K_T| / s = |0.75 - w**2| / (1.25 - w**2)
         w = math.sqrt(0.75 + offset)
-        gam = complex(gamma_response(lossless, w)[0, 0])
+        gam = gamma_response(lossless, w)
         got = abs(1.0 - lossless.alpha**2 * gam) / (1.0 + lossless.alpha**2 * abs(gam))
         assert got == pytest.approx(ratio, rel=0.01)
         if ratio <= 1e-7:
@@ -197,7 +197,7 @@ class TestTreePropagators:
         )
         g0 = tree_propagators(med, ctx(1.3, 0.8))
         assert np.all(g0.ax == 0.0) and np.all(g0.xa == 0.0)
-        assert np.allclose(g0.xx, gamma_response(med, 0.8))
+        assert np.allclose(g0.xx, gamma_response(med, 0.8) * np.eye(3))
         assert np.allclose(g0.aa, photon_green(med, ctx(1.3, 0.8)))
 
     def test_vacuum_matter_blocks_vanish(self, vacuum):
@@ -402,7 +402,7 @@ def _samples(medium, omegas, ks=(0.0, 1.3)):
     """Sample arrays (k outer) with gamma, as the CLI builds them."""
     k = np.repeat(np.asarray(ks), omegas.size)
     w = np.tile(omegas, len(ks))
-    return k, w, _gamma_values(medium, w) if medium.g else None
+    return k, w, gamma_response(medium, w) if medium.g else None
 
 
 # media with a loop that converges on them, and a frequency range clear of their poles

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nlmedium.errors import EnergyConservationError, InputError, MillerRatioError
-from nlmedium.medium import MediumParams, chi1_scalar, gamma_response
+from nlmedium.medium import MediumParams, chi1, gamma_response
 from nlmedium.nonlinear import (
     chi3,
     lambda0_tensor,
@@ -16,7 +16,7 @@ from nlmedium.nonlinear import (
 
 def brute_force_lambda0(lam, medium, w1, w2, w3, w4):
     """Direct 4-index contraction over all 81 x 81 index pairs."""
-    gs = [gamma_response(medium, w) for w in (w1, w2, w3, w4)]
+    gs = [gamma_response(medium, w) * np.eye(3) for w in (w1, w2, w3, w4)]
     out = np.zeros((3, 3, 3, 3), dtype=complex)
     for a in range(3):
         for b in range(3):
@@ -172,7 +172,7 @@ class TestChi3:
         lam = lambda_isotropic(0.3, 0.8, 0.3)
         w = 0.45
         full = chi3(lossy, lam, w, w, w, w)
-        x = chi1_scalar(lossy, w)
+        x = chi1(lossy, w)
         single = (
             lossy.eps0**3
             * lossy.alpha**4

@@ -7,6 +7,7 @@ breakpoints), where the pole sits exactly on a quadrature node.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import chi3_two_permutation, kk_reconstruct_loop, naive_displacement_line
 from nlmedium.displacement import FrequencyComb, displacement
+from nlmedium import medium as medium_module
 from nlmedium.errors import GridResolutionError, InputError, MillerRatioError, ResponsePoleError
 from nlmedium.medium import (
     _CHUNK_ELEMENTS,
@@ -23,11 +25,8 @@ from nlmedium.medium import (
     NuConstant,
     NuTabulated,
     _base_sums,
-    _gamma_values,
-    _sigma_values,
     _static_nodes,
-    chi1_scalar,
-    chi1_spectrum,
+    chi1,
     gamma_response,
     kk_reconstruct,
     reservoir_kernel,
@@ -89,8 +88,8 @@ def test_batched_sigma_equals_one_row_path(case, long):
         rows_per_chunk = _CHUNK_ELEMENTS // _static_nodes(medium.nu, medium.loop_cutoff)[0].size
         spread = np.linspace(0.0, medium.loop_cutoff, 2 * rows_per_chunk + 7, endpoint=False)[1:]
         grid = np.concatenate([grid, spread, -spread[::3]])
-    batched = _sigma_values(medium, grid)
-    one_row = np.asarray([reservoir_kernel(medium, w)[0, 0] for w in grid])
+    batched = reservoir_kernel(medium, grid)
+    one_row = np.asarray([reservoir_kernel(medium, w) for w in grid])
     assert batched.tobytes() == one_row.tobytes()
     assert np.all(batched[grid == 0.0] == 0.0)
 
@@ -112,30 +111,48 @@ def test_base_sums_are_one_contraction_of_the_integrand(data):
 
 
 @SETTINGS
-@given(media_and_grids())
-def test_scalar_entry_points_read_the_array_path(case):
-    # the grid holds 0 (static limit) and frequencies of both signs (folding)
+@given(media_and_grids(), st.data())
+def test_scalar_entry_points_read_the_array_path(case, data):
+    # the grid holds 0 (static limit) and frequencies of both signs
+    # (folding); drawn repeats, some negated, follow it
     medium, grid = case
-    for w in grid:
-        one = np.asarray([w])
-        try:
-            gamma = _gamma_values(medium, one)[0]
-            scalar = gamma_response(medium, w)[0, 0]
-        except ResponsePoleError:
-            reject()
-        assert scalar.tobytes() == gamma.tobytes()
-        assert np.complex128(chi1_scalar(medium, w)).tobytes() == (gamma / medium.eps0).tobytes()
-        assert reservoir_kernel(medium, w)[0, 0].tobytes() == _sigma_values(medium, one)[0].tobytes()
+    picks = data.draw(st.lists(st.integers(0, grid.size - 1), min_size=1, max_size=grid.size))
+    signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(picks), max_size=len(picks)))
+    omegas = np.concatenate([grid, np.asarray(signs) * grid[picks]])
+    rows = []
+    original = medium_module._kernel
+
+    def counting(params, w):
+        rows.append(w.copy())
+        return original(params, w)
+
+    try:
+        with mock.patch.object(medium_module, "_kernel", counting):
+            arrays = {entry: entry(medium, omegas) for entry in (reservoir_kernel, gamma_response, chi1)}
+        scalars = {entry: {w: entry(medium, w) for w in omegas.tolist()} for entry in arrays}
+    except ResponsePoleError:
+        reject()
+    # one quadrature call per entry point, each distinct nonzero |omega| once
+    distinct = np.unique(np.abs(omegas[omegas != 0.0]))
+    assert len(rows) == 3 and all(r.tobytes() == distinct.tobytes() for r in rows)
+    for entry, values in arrays.items():
+        assert values.shape == omegas.shape
+        scalar = np.asarray([scalars[entry][w] for w in omegas.tolist()])
+        assert all(type(v) is complex for v in scalars[entry].values())
+        assert values.tobytes() == scalar.tobytes()
+    nonzero = omegas != 0.0
+    sigma = arrays[reservoir_kernel]
+    assert reservoir_kernel(medium, -omegas)[nonzero].tobytes() == np.conj(sigma[nonzero]).tobytes()
 
 
 @SETTINGS
 @given(media_and_grids())
 def test_sigma_hermitian_analyticity_is_bitwise(case):
     medium, grid = case
-    plus = _sigma_values(medium, grid)
-    assert np.array_equal(_sigma_values(medium, -grid), np.conj(plus))
+    plus = reservoir_kernel(medium, grid)
+    assert np.array_equal(reservoir_kernel(medium, -grid), np.conj(plus))
     for w in grid[:6]:
-        assert reservoir_kernel(medium, -w)[0, 0] == np.conj(reservoir_kernel(medium, w)[0, 0])
+        assert reservoir_kernel(medium, -w) == np.conj(reservoir_kernel(medium, w))
 
 
 @SETTINGS
@@ -143,9 +160,9 @@ def test_sigma_hermitian_analyticity_is_bitwise(case):
 def test_passivity(case):
     medium, grid = case
     w = np.unique(np.abs(grid))
-    assert np.all(_sigma_values(medium, w).imag >= 0.0)
+    assert np.all(reservoir_kernel(medium, w).imag >= 0.0)
     try:
-        chi = chi1_spectrum(medium, w).values[:, 0, 0]
+        chi = chi1(medium, w)
     except ResponsePoleError:
         reject()
     assert np.all(chi.imag >= -1e-12)
@@ -180,7 +197,7 @@ def test_kk_matrix_form_matches_loop(case):
 @pytest.mark.parametrize("n", [4096, 4100])
 def test_kk_matrix_form_matches_loop_across_chunks(smooth_lossy, n):
     grid = np.linspace(0.0, 20.0, n)
-    im = chi1_spectrum(smooth_lossy, grid).values[:, 0, 0].imag
+    im = chi1(smooth_lossy, grid).imag
     ref = kk_reconstruct_loop(grid, im)
     assert np.max(np.abs(kk_reconstruct(grid, im) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
