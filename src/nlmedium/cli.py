@@ -7,13 +7,19 @@ points thus share one set of defaults, and each file is read once.  An
 integer key (``medium.g``, ``grids.omega.n``, ``loop.n_points``,
 ``drive.ladder``, ``seed``) takes an integral number: 0.5 is a validation
 error, not 0.  Every input file is read by ``serialize.load_json_file``,
-which rejects ``NaN`` and infinite numbers.  The commands that read the
-response at many frequencies (``chi1``, ``kk-check``, ``chi3``,
+which rejects ``NaN`` and infinite numbers; the number flags (``--k``,
+``--drive-freq`` and the parts of ``--omega-grid``) take finite numbers
+only, and a negative ``k`` is a validation error.  The commands that read
+the response at many frequencies (``chi1``, ``kk-check``, ``chi3``,
 ``propagators``, ``dyson``) first evaluate it at all of them in one kernel
-call.  ``propagators`` and ``dyson`` then evaluate all their (k, omega)
-samples as arrays: the scalar Green function and the tree
-blocks on every sample at once, the self-energy with one loop for all
-samples, and the Dyson step with one stacked inverse.  Each command hands
+call; ``chi3`` calls the library's ``chi3`` once on all its quadruples.
+``propagators`` and ``dyson`` then evaluate all their (k, omega) samples
+as arrays: the scalar Green function and the tree blocks on every sample
+at once (the one private name the CLI imports, ``_tree_propagators``,
+takes the grid's gamma), the ``self_energy`` with one loop for all
+samples, and ``dyson_dress`` with one stacked inverse.  The self-energy
+evaluates gamma at the grid again, in the call that serves its loop
+nodes, so ``dyson`` makes two kernel calls.  Each command hands
 the values the library returns to one writer call: arrays and complex
 values go to the JSON encoder as they are, and CSV numbers are formatted
 once per distinct value in each block of rows (``serialize``).  The
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -39,7 +46,7 @@ import numpy as np
 from .displacement import displacement as _run_displacement
 from .duffing import compare_chi3 as _run_compare_chi3
 from .errors import InputError, NlmediumError, NumericsError
-from .fieldspace import LoopQuadrature, PropagatorMatrix, _dyson_dress, _self_energy, _tree_propagators
+from .fieldspace import LoopQuadrature, PropagatorMatrix, _tree_propagators, dyson_dress, self_energy
 from .medium import (
     MediumParams,
     NuZero,
@@ -50,7 +57,7 @@ from .medium import (
     gamma_response,
     kk_reconstruct,
 )
-from .nonlinear import _chi3_values, lambda_from_config
+from .nonlinear import chi3, lambda_from_config
 from .serialize import comb_from_obj, comb_to_obj, load_json_file, write_csv, write_json
 
 __all__ = ["RunConfig", "run", "main", "COMMANDS"]
@@ -137,6 +144,17 @@ def _artifact_format(value) -> str:
     return value
 
 
+def _finite_float(text: str) -> float:
+    """A flag's number; as in input files, NaN and the infinities are rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _decode_grid(spec) -> np.ndarray:
     if isinstance(spec, dict):
         start = _config_value("grids.omega", spec, "start", float)
@@ -197,14 +215,14 @@ def _cmd_chi3(config: RunConfig, args) -> list:
     lam = _need_lambda(config)
     quadruples = config.quadruples or [(w, w, w) for w in config.omega_grid if w != 0.0]
     freqs = [(w1 - w2 + w3, w1, w2, w3) for w1, w2, w3 in quadruples]
-    tensors = [tensor.reshape(-1) for tensor in _chi3_values(config.medium, lam, freqs)]
+    columns = np.reshape(freqs, (-1, 4))
+    tensors = chi3(config.medium, lam, *columns.T).reshape(-1, 81)
     if config.out_format == "json":
         samples = [
             {"w": w, "w1": w1, "w2": w2, "w3": w3, "chi3": tensor} for (w, w1, w2, w3), tensor in zip(freqs, tensors)
         ]
         return _emit_json(config, "chi3.json", {"seed": config.seed, "samples": samples})
-    freqs, values = np.reshape(freqs, (-1, 4)), np.reshape(tensors, (-1, 81))
-    return _emit_csv(config, "chi3.csv", ("w", "w1", "w2", "w3"), freqs, values, _CHI3_COMPONENTS)
+    return _emit_csv(config, "chi3.csv", ("w", "w1", "w2", "w3"), columns, tensors, _CHI3_COMPONENTS)
 
 
 def _cmd_kk_check(config: RunConfig, args) -> list:
@@ -225,7 +243,7 @@ def _cmd_kk_check(config: RunConfig, args) -> list:
 
 
 def _tree_samples(medium: MediumParams, k_values, omega_grid) -> tuple:
-    """Every k with every omega != 0 of the grid, k outer: (k, omega, gamma, tree propagators).
+    """Every k with every omega != 0 of the grid, k outer: (k, omega, tree propagators).
 
     gamma is evaluated on the grid in one call, and not at all outside a
     medium (g = 0, where it is None) or when there are no samples.
@@ -233,7 +251,7 @@ def _tree_samples(medium: MediumParams, k_values, omega_grid) -> tuple:
     grid = omega_grid[omega_grid != 0.0] if len(k_values) else omega_grid[:0]
     gam = np.tile(gamma_response(medium, grid), len(k_values)) if medium.g else None
     k, omega = np.repeat(k_values, grid.size), np.tile(grid, len(k_values))
-    return k, omega, gam, _tree_propagators(medium, k, omega, gam)
+    return k, omega, _tree_propagators(medium, k, omega, gam)
 
 
 def _samples(k, omega, blocks: PropagatorMatrix, **extra) -> list:
@@ -248,11 +266,11 @@ def _cmd_propagators(config: RunConfig, args) -> list:
     if args.omega_grid:
         try:
             start, stop, count = args.omega_grid.split(":")
-            omega_grid = _decode_grid({"start": float(start), "stop": float(stop), "n": int(count)})
-        except ValueError:
-            raise InputError("--omega-grid expects start:stop:n") from None
+            omega_grid = _decode_grid({"start": _finite_float(start), "stop": _finite_float(stop), "n": int(count)})
+        except (ValueError, argparse.ArgumentTypeError):
+            raise InputError("--omega-grid expects start:stop:n with finite start and stop") from None
     k_values = config.k_values if not args.k_values else np.asarray(args.k_values, dtype=float)
-    k, omega, _, g0 = _tree_samples(config.medium, k_values, omega_grid)
+    k, omega, g0 = _tree_samples(config.medium, k_values, omega_grid)
     return _emit_json(config, "propagators.json", {"seed": config.seed, "samples": _samples(k, omega, g0)})
 
 
@@ -263,12 +281,12 @@ def _cmd_dyson(config: RunConfig, args) -> list:
     # window stays strictly inside the kernel support |W| < loop_cutoff
     cutoff = config.loop_cutoff if config.loop_cutoff is not None else 0.5 * config.medium.loop_cutoff
     quad = LoopQuadrature(n_points=config.loop_n_points, cutoff=cutoff)
-    k, omega, gam, g0 = _tree_samples(config.medium, config.k_values, config.omega_grid)
+    k, omega, g0 = _tree_samples(config.medium, config.k_values, config.omega_grid)
     samples = []
     if omega.size:
         # one loop for all samples; a sample's self-energy does not depend on its k
-        pi = _self_energy(config.medium, lam, omega, gam, quad)
-        dressed = _dyson_dress(g0, pi.value)
+        pi = self_energy(config.medium, lam, omega, quad)
+        dressed = dyson_dress(g0, pi.value)
         chosen = dressed.single if mode == "single" else dressed.resummed
         errors = pi.error_estimate.tolist()
         samples = _samples(k, omega, chosen, mode=[mode] * omega.size, self_energy=pi.value, error_estimate=errors)
@@ -338,7 +356,7 @@ def _build_parser() -> _Parser:
         sub.add_parser(name)
     p_prop = sub.add_parser("propagators")
     p_prop.add_argument("--omega-grid", dest="omega_grid", help="start:stop:n override")
-    p_prop.add_argument("--k", dest="k_values", type=float, nargs="+", help="wavevector magnitudes")
+    p_prop.add_argument("--k", dest="k_values", type=_finite_float, nargs="+", help="wavevector magnitudes")
     p_dyson = sub.add_parser("dyson")
     p_dyson.add_argument("--mode", choices=("single", "resummed"), default="resummed")
     p_wick = sub.add_parser("wick-dump")
@@ -351,7 +369,7 @@ def _build_parser() -> _Parser:
     p_duff = sub.add_parser("duffing-compare")
     p_duff.add_argument("--medium", dest="medium_file", help="medium JSON (overrides config)")
     p_duff.add_argument("--lambda", dest="lambda_file", help="coupling JSON (overrides config)")
-    p_duff.add_argument("--drive-freq", type=float, default=None)
+    p_duff.add_argument("--drive-freq", type=_finite_float, default=None)
     p_duff.add_argument("--ladder", type=int, default=None)
     return parser
 

@@ -22,11 +22,14 @@ scalar times I or times diag(1, 1, 0):
 
 The Green function, the tree propagators and the self-energy are
 evaluated as array formulas over samples (arrays of w, k and gamma(w)),
-and the Dyson step over a stack of samples with one stacked inverse.  The
-one-sample functions (``photon_green``, ``total_kernel``,
-``tree_propagators``, ``self_energy``, ``dyson_dress``) evaluate
-one-element arrays, so a sample's values are bitwise those it has in any
-batch.
+and the Dyson step over a stack of samples with one stacked inverse.
+``self_energy`` takes a frequency or an array of them, and ``dyson_dress``
+one sample's 3x3 blocks or a stack of them; a scalar is evaluated as a
+one-element array, so its values are bitwise those of its row in any
+batch.  Two pairs remain: ``photon_green``, ``total_kernel`` and
+``tree_propagators`` take one ``PlaneWaveContext`` and evaluate
+one-element arrays of ``_green`` and ``_tree_propagators``, the array
+functions over (k, w, gamma(w)) samples.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ __all__ = [
     "PlaneWaveContext",
     "PropagatorMatrix",
     "MeanField",
-    "transverse_projector",
     "total_kernel",
     "photon_green",
     "total_source",
@@ -75,13 +77,6 @@ class PlaneWaveContext:
         object.__setattr__(self, "polarization", pol)
 
 
-def transverse_projector(k: float) -> np.ndarray:
-    """P_T for a z-directed wavevector; identity in the k -> 0 limit."""
-    if k == 0.0:
-        return np.eye(3)
-    return np.diag([1.0, 1.0, 0.0])
-
-
 @dataclass(frozen=True)
 class PropagatorMatrix:
     """2x2 block matrix of 3x3 propagators in {A, X} field space.
@@ -93,10 +88,6 @@ class PropagatorMatrix:
     ax: np.ndarray
     xa: np.ndarray
     xx: np.ndarray
-
-    def mixing_reciprocity_defect(self) -> float:
-        """max |G_AX - G_XA^T|; zero for isotropic media."""
-        return float(np.max(np.abs(self.ax - self.xa.T)))
 
     def _map(self, f) -> "PropagatorMatrix":
         return PropagatorMatrix(aa=f(self.aa), ax=f(self.ax), xa=f(self.xa), xx=f(self.xx))
@@ -220,6 +211,8 @@ def tree_propagators(medium: MediumParams, ctx: PlaneWaveContext) -> PropagatorM
 
 def _tree_propagators(medium: MediumParams, k, omega, gam) -> PropagatorMatrix:
     """``tree_propagators`` on sample arrays k, w and ``gam = gamma(w)``: (n, 3, 3) blocks."""
+    if np.any(k < 0.0):
+        raise InputError("wavevector magnitude must be non-negative")
     d = _green(medium, k, omega, gam)
     if medium.g == 0:
         zero = np.zeros(d.shape + (3,), dtype=complex)
@@ -278,7 +271,8 @@ class LoopQuadrature:
 class SelfEnergyResult:
     """Loop integral value with its convergence diagnostics.
 
-    On a frequency array each field holds one entry per frequency.
+    On a frequency array each field holds one entry per frequency (a 3x3
+    value, a float error); for a scalar frequency the errors are floats.
     """
 
     value: np.ndarray
@@ -307,7 +301,7 @@ def _loop_windows(quadrature: LoopQuadrature) -> tuple:
     return tuple(windows)
 
 
-def _loop_integrals(medium: MediumParams, quadrature: LoopQuadrature) -> tuple:
+def _loop_integrals(medium: MediumParams, windows: tuple, absw: np.ndarray, inverse: np.ndarray, gam) -> tuple:
     """Scalar loop integrals J = integral dW/(2 pi) s(W) over the three windows.
 
     The internal line is the time-ordered tree matter block at k = 0, an
@@ -320,12 +314,10 @@ def _loop_integrals(medium: MediumParams, quadrature: LoopQuadrature) -> tuple:
 
     stays finite at W = 0.  The windows are those of ``_loop_windows``;
     being mirrored, they hold about n distinct |W| between them (8,191
-    positive ones for n = 8192), and one response evaluation covers them
-    all.  Returns (J_full, J_half, J_cut).
+    positive ones for n = 8192): ``absw`` holds them, ``gam`` the response
+    there, and ``inverse`` maps the concatenated windows onto them.
+    Returns (J_full, J_half, J_cut).
     """
-    windows = _loop_windows(quadrature)
-    absw, inverse = np.unique(np.abs(np.concatenate(windows)), return_inverse=True)
-    gam = gamma_response(medium, absw)
     m = medium.eps0 - medium.g * medium.alpha**2 * gam
     if np.any(m == 0.0):
         # W**2 D(W, 0) has a pole on a node: the matter block is singular
@@ -353,26 +345,7 @@ def _loop_vertex(medium: MediumParams, lam: np.ndarray, omega: np.ndarray, gam) 
     return weight[:, None, None] * np.einsum("abbg->ag", np.asarray(lam, dtype=complex))
 
 
-def _self_energy(medium: MediumParams, lam: np.ndarray, omega: np.ndarray, gam, quadrature) -> SelfEnergyResult:
-    """``self_energy`` at each frequency of an array, ``gam = gamma(omega)``: one loop serves them all."""
-    trace = _loop_vertex(medium, lam, omega, gam)
-    j_full, j_half, j_cut = _loop_integrals(medium, quadrature)
-    full = trace * j_full
-    # composite trapezoid is O(h^2): Richardson factor 1/3
-    disc = np.max(np.abs(full - trace * j_half), axis=(1, 2)) / 3.0
-    tail = np.max(np.abs(full - trace * j_cut), axis=(1, 2))
-    scale = np.max(np.abs(full), axis=(1, 2))
-    if np.any((scale > 0.0) & (disc > 0.1 * scale)):
-        raise LoopConvergenceError("loop integral not converged at this cutoff")
-    return SelfEnergyResult(value=full, error_estimate=disc + tail, discretization_error=disc, tail_error=tail)
-
-
-def self_energy(
-    medium: MediumParams,
-    lam: np.ndarray,
-    omega: float,
-    quadrature: LoopQuadrature,
-) -> SelfEnergyResult:
+def self_energy(medium: MediumParams, lam: np.ndarray, omega, quadrature: LoopQuadrature) -> SelfEnergyResult:
     """One-loop self-energy of the matter sector.
 
         Pi_ag(w) = integral dW/(2 pi) V_abmg(w) G0_XX;bm(W)
@@ -388,8 +361,11 @@ def self_energy(
 
         Pi(w) = (g**4/4!) gamma**4 (1 + 4 c**2 + c**4) J lam_abbg,   c = alpha w d(w, 0).
 
-    Each call evaluates the window integrals afresh; the ``dyson`` command
-    evaluates them, and the self-energy at all its frequencies, once.
+    ``omega`` is a frequency or an array of them: ``value`` has its shape
+    plus (3, 3), and each error field its shape (a float for a scalar).
+    One kernel call gives gamma at the vertex frequencies and at the loop
+    nodes, and one set of window integrals serves every frequency; a
+    frequency's row does not depend on the others in the call.
 
     The reported error estimate combines a trapezoid Richardson term
     (node count halved) with a cutoff-sensitivity term (window halved at
@@ -401,14 +377,26 @@ def self_energy(
     k = 0 photon kernel W**2 (eps0 - g alpha**2 Gamma) is singular, raises
     ``PropagatorPoleError`` naming the node.
     """
-    omega = np.asarray([float(omega)])
-    res = _self_energy(medium, lam, omega, gamma_response(medium, omega) if medium.g else None, quadrature)
-    return SelfEnergyResult(
-        value=res.value[0],
-        error_estimate=float(res.error_estimate[0]),
-        discretization_error=float(res.discretization_error[0]),
-        tail_error=float(res.tail_error[0]),
-    )
+    w = np.asarray(omega, dtype=float)
+    flat = w.reshape(-1)
+    windows = _loop_windows(quadrature)
+    absw, inverse = np.unique(np.abs(np.concatenate(windows)), return_inverse=True)
+    # outside a medium (g = 0) the vertex reads no gamma
+    n = flat.size if medium.g else 0
+    gam = gamma_response(medium, np.concatenate([flat[:n], absw]))
+    trace = _loop_vertex(medium, lam, flat, gam[:n])
+    j_full, j_half, j_cut = _loop_integrals(medium, windows, absw, inverse, gam[n:])
+    full = trace * j_full
+    # composite trapezoid is O(h^2): Richardson factor 1/3
+    disc = np.max(np.abs(full - trace * j_half), axis=(1, 2)) / 3.0
+    tail = np.max(np.abs(full - trace * j_cut), axis=(1, 2))
+    scale = np.max(np.abs(full), axis=(1, 2))
+    if np.any((scale > 0.0) & (disc > 0.1 * scale)):
+        raise LoopConvergenceError("loop integral not converged at this cutoff")
+    if w.ndim == 0:
+        return SelfEnergyResult(full[0], float(disc[0] + tail[0]), float(disc[0]), float(tail[0]))
+    errors = (np.reshape(e, w.shape) for e in (disc + tail, disc, tail))
+    return SelfEnergyResult(full.reshape(w.shape + (3, 3)), *errors)
 
 
 @dataclass(frozen=True)
@@ -428,21 +416,19 @@ def dyson_dress(g0: PropagatorMatrix, pi: np.ndarray) -> DressedPropagators:
         single:   G_ij = G0_ij + G0_iX (i Pi) G0_Xj
         resummed: G_ij = G0_ij + G0_iX (i Pi) (1 - G0_XX i Pi)^-1 G0_Xj
 
-    Pi is a general 3x3: the coupling may be anisotropic.  Raises
+    Pi is a general 3x3: the coupling may be anisotropic.  The blocks and
+    Pi are one sample (3x3) or a stack of samples (..., 3, 3) of one
+    shape; the step runs on the flattened stack with one stacked inverse,
+    and the dressed blocks keep the shape.  Raises
     ``DysonPoleError`` when the resummation matrix is singular (a dressed
     resonance), that is when |det| < 1e-14 max(1, max |entry|)**3.
     """
     pi = np.asarray(pi, dtype=complex)
-    if pi.shape != (3, 3):
-        raise InputError("self-energy block must be 3x3")
-    stacked = g0._map(lambda block: np.asarray(block, dtype=complex)[None])
-    dressed = _dyson_dress(stacked, pi[None])
-    return DressedPropagators(*(g._map(lambda block: block[0]) for g in (dressed.single, dressed.resummed)))
-
-
-def _dyson_dress(g0: PropagatorMatrix, pi: np.ndarray) -> DressedPropagators:
-    """``dyson_dress`` over a stack of samples: (n, 3, 3) blocks and self-energies."""
-    ipi = 1j * pi
+    shape = pi.shape
+    if shape[-2:] != (3, 3) or any(np.shape(b) != shape for b in (g0.aa, g0.ax, g0.xa, g0.xx)):
+        raise InputError("self-energy and propagator blocks must be 3x3 stacks of one shape")
+    g0 = g0._map(lambda block: np.asarray(block, dtype=complex).reshape(-1, 3, 3))
+    ipi = 1j * pi.reshape(-1, 3, 3)
 
     def build(middle):
         return PropagatorMatrix(
@@ -450,7 +436,7 @@ def _dyson_dress(g0: PropagatorMatrix, pi: np.ndarray) -> DressedPropagators:
             ax=g0.ax + g0.ax @ middle @ g0.xx,
             xa=g0.xa + g0.xx @ middle @ g0.xa,
             xx=g0.xx + g0.xx @ middle @ g0.xx,
-        )
+        )._map(lambda block: block.reshape(shape))
 
     resum_matrix = np.eye(3) - g0.xx @ ipi
     bound = 1e-14 * np.maximum(1.0, np.max(np.abs(resum_matrix), axis=(1, 2))) ** 3

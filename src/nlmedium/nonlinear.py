@@ -17,6 +17,12 @@ two-permutation form
       + (lam_{gkrs}/4!) X_{ag}(w1) X_{nk}(w2) X_{mr}(w3) X_{bs}(w) ]
 
 with ``X = chi1``.
+
+``lambda0_tensor`` and ``chi3`` take scalar frequencies or broadcastable
+arrays of them and return the broadcast shape plus (3, 3, 3, 3), with one
+kernel call for every slot of every key.  A scalar is evaluated as a
+one-element array, and each key is dressed on its own, so its tensor is
+bitwise its row in any batch.
 """
 
 from __future__ import annotations
@@ -113,23 +119,23 @@ def _dress(lam: np.ndarray, g: int, gammas) -> np.ndarray:
     return factor * np.asarray(lam, dtype=complex)
 
 
-def _lambda0_values(lam: np.ndarray, medium: MediumParams, keys) -> list:
-    """``lambda0_tensor`` at each frequency key (w1, w2, w3, w4), with one kernel call for all keys.
-
-    Outside a medium (g = 0) no gamma is evaluated.
-    """
-    gammas = gamma_response(medium, np.reshape(keys, -1)).tolist() if medium.g else [None] * (4 * len(keys))
-    return [_dress(lam, medium.g, gammas[i : i + 4]) for i in range(0, len(gammas), 4)]
-
-
 def lambda0_tensor(lam: np.ndarray, medium: MediumParams, w1, w2, w3, w4) -> np.ndarray:
     """Quartic coupling dressed by four composite-response factors.
 
     lambda0 = (g**4/4!) gamma(w1) gamma(w2) gamma(w3) gamma(w4) lam, the
     isotropic (G = gamma I) form of
     (g**4/4!) lam[r,s,x,g] G_ar(w1) G_bs(w2) G_mx(w3) G_ng(w4).
+
+    The frequencies are scalars or broadcastable arrays; the result has
+    their broadcast shape plus (3, 3, 3, 3).  One kernel call gives gamma
+    at every slot of every key, and each key is dressed on its own
+    (``_dress``), so a key's tensor is bitwise the same in any batch.
+    Outside a medium (g = 0) no gamma is evaluated.
     """
-    return _lambda0_values(lam, medium, [(w1, w2, w3, w4)])[0]
+    keys = np.stack(np.broadcast_arrays(w1, w2, w3, w4), axis=-1).astype(float)
+    gammas = gamma_response(medium, keys.reshape(-1)).tolist() if medium.g else [None] * keys.size
+    tensors = [_dress(lam, medium.g, gammas[i : i + 4]) for i in range(0, len(gammas), 4)]
+    return np.asarray(tensors, dtype=complex).reshape(keys.shape[:-1] + (3, 3, 3, 3))
 
 
 @dataclass(frozen=True)
@@ -171,22 +177,15 @@ def source_dressed_tensors(lam0: np.ndarray, alpha: float, f: np.ndarray) -> Sou
 
 
 def _check_energy(w, w1, w2, w3) -> None:
-    scale = max(abs(w), abs(w1), abs(w2), abs(w3), 1e-300)
-    if abs(w - (w1 - w2 + w3)) > 1e-9 * scale:
+    """Raise unless w = w1 - w2 + w3 at every entry of the (broadcastable) frequencies."""
+    w, w1, w2, w3 = quad = np.stack(np.broadcast_arrays(w, w1, w2, w3)).astype(float)
+    if np.any(np.abs(w - (w1 - w2 + w3)) > 1e-9 * np.max(np.abs(quad), axis=0, initial=1e-300)):
         raise EnergyConservationError("energy conservation violated")
 
 
 def _chi3_from(medium: MediumParams, lam0: np.ndarray) -> np.ndarray:
-    """chi3 from the lambda0 of its slot frequencies (w1, w2, w3, w)."""
-    return medium.alpha**4 / (32.0 * medium.eps0) * (lam0 + lam0.transpose(0, 3, 2, 1))
-
-
-def _chi3_values(medium: MediumParams, lam: np.ndarray, quadruples) -> list:
-    """``chi3`` at each (w, w1, w2, w3) of ``quadruples``, with one kernel call for all of them."""
-    for quad in quadruples:
-        _check_energy(*quad)
-    lam0s = _lambda0_values(lam, medium, [(w1, w2, w3, w) for w, w1, w2, w3 in quadruples])
-    return [_chi3_from(medium, lam0) for lam0 in lam0s]
+    """chi3 from the lambda0 of its slot frequencies (w1, w2, w3, w), on the last four axes."""
+    return medium.alpha**4 / (32.0 * medium.eps0) * (lam0 + np.swapaxes(lam0, -3, -1))
 
 
 def chi3(medium: MediumParams, lam: np.ndarray, w, w1, w2, w3) -> np.ndarray:
@@ -195,9 +194,12 @@ def chi3(medium: MediumParams, lam: np.ndarray, w, w1, w2, w3) -> np.ndarray:
     Requires w = w1 - w2 + w3.  Equals (Lambda_abmn + Lambda_anmb)/(32 eps0)
     with ``Lambda = alpha**4 lambda0`` and both terms carrying the slot
     frequencies (w1, w2, w3, w); since ``chi1 = g Gamma / eps0``, this is
-    the two-permutation form of the module docstring.
+    the two-permutation form of the module docstring.  The frequencies
+    broadcast as in ``lambda0_tensor``, with one kernel call for all of
+    them; the result has their shape plus (3, 3, 3, 3).
     """
-    return _chi3_values(medium, lam, [(w, w1, w2, w3)])[0]
+    _check_energy(w, w1, w2, w3)
+    return _chi3_from(medium, lambda0_tensor(lam, medium, w1, w2, w3, w))
 
 
 def miller_ratio(medium: MediumParams, lam: np.ndarray, w, w1, w2, w3) -> np.ndarray:

@@ -32,7 +32,6 @@ from nlmedium.fieldspace import (
     PlaneWaveContext,
     PropagatorMatrix,
     SelfEnergyResult,
-    transverse_projector,
     vertex,
 )
 from nlmedium.medium import (
@@ -363,7 +362,8 @@ def _kernel_terms_per_sample(medium, ctx, gam):
     w = ctx.omega
     terms = [
         medium.eps0 * w**2 * np.eye(3, dtype=complex),
-        -(ctx.k**2 / medium.mu0) * transverse_projector(ctx.k),
+        # the transverse projector of a z-directed k: the identity in the k -> 0 limit
+        -(ctx.k**2 / medium.mu0) * (np.eye(3) if ctx.k == 0.0 else np.diag([1.0, 1.0, 0.0])),
     ]
     if medium.g:
         terms.append(-(medium.g * w**2 * medium.alpha**2 * gam * np.eye(3)))

@@ -228,6 +228,27 @@ class TestCommands:
             assert at_zero["error_estimate"] == at_k["error_estimate"]
             assert at_zero["AA"] != at_k["AA"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_chi3_on_an_empty_set_of_quadruples(self, config_path, tmp_path, fmt):
+        # the grid's one frequency is 0, which chi3 skips, and no quadruples are given
+        cfg = read_json(config_path)
+        cfg["grids"] = {"omega": [0.0]}
+        del cfg["seed"]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "--out", str(tmp_path), "--format", fmt, "chi3"]) == EXIT_OK
+        expected = "w,w1,w2,w3,component,re,im\n" if fmt == "csv" else '{"samples":[],"seed":0}\n'
+        assert (tmp_path / f"chi3.{fmt}").read_text() == expected
+
+    @pytest.mark.parametrize("command", ["propagators", "dyson"])
+    def test_empty_k_grid(self, config_path, tmp_path, command):
+        cfg = read_json(config_path)
+        cfg["grids"]["k"] = []
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "--out", str(tmp_path), command]) == EXIT_OK
+        assert read_json(tmp_path / f"{command}.json") == {"samples": [], "seed": 7}
+
     def test_samples_equal_one_sample_functions(self, tmp_path):
         # each sample of the batched grid is bitwise what the one-sample
         # library functions give for it (JSON numbers round-trip exactly)
@@ -473,6 +494,45 @@ class TestExitCodes:
     def test_bad_omega_grid_flag(self, config_path, capsys):
         assert main(["--config", config_path, "propagators", "--omega-grid", "0:1:x"]) == EXIT_VALIDATION
         assert "--omega-grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["0:nan:3", "inf:2:3", "0:-inf:3"])
+    def test_non_finite_omega_grid_flag(self, config_path, tmp_path, capsys, spec):
+        out = tmp_path / "flags"
+        assert main(["--config", config_path, "--out", str(out), "propagators", "--omega-grid", spec]) == EXIT_VALIDATION
+        assert "--omega-grid expects start:stop:n with finite start and stop" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["propagators", "--k", "nan"],
+            ["propagators", "--k", "0", "inf"],
+            ["duffing-compare", "--drive-freq", "nan"],
+            ["duffing-compare", "--drive-freq", "inf"],
+        ],
+        ids=["k-nan", "k-inf", "drive-nan", "drive-inf"],
+    )
+    def test_non_finite_flag(self, config_path, tmp_path, capsys, argv):
+        # a usage error before any artifact is written, as for a flag that is not a number
+        out = tmp_path / "flags"
+        assert main(["--config", config_path, "--out", str(out), *argv]) == EXIT_USAGE
+        assert "expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, k",
+        [("propagators", ["--k", "-1.3", "0.0"], [0.0]), ("propagators", [], [-1.3, 0.0]), ("dyson", [], [-1.3, 0.0])],
+        ids=["propagators-flag", "propagators-config", "dyson-config"],
+    )
+    def test_negative_k(self, config_path, tmp_path, capsys, command, flags, k):
+        cfg = read_json(config_path)
+        cfg["grids"]["k"] = k
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "flags"
+        assert main(["--config", str(path), "--out", str(out), command, *flags]) == EXIT_VALIDATION
+        assert "wavevector magnitude must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "line, key",

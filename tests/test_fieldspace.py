@@ -13,9 +13,7 @@ from nlmedium.errors import DysonPoleError, InputError, LoopConvergenceError, Pr
 from nlmedium.fieldspace import (
     LoopQuadrature,
     PlaneWaveContext,
-    _dyson_dress,
     _loop_windows,
-    _self_energy,
     _tree_propagators,
     dyson_dress,
     mean_fields,
@@ -23,7 +21,6 @@ from nlmedium.fieldspace import (
     self_energy,
     total_kernel,
     total_source,
-    transverse_projector,
     tree_propagators,
     vertex,
 )
@@ -139,10 +136,6 @@ class TestKernelAndGreen:
         d = photon_green(lossy, ctx(0.8, 0.8))
         assert np.all(np.isfinite(d))
 
-    def test_projector_limit(self):
-        assert np.all(transverse_projector(0.0) == np.eye(3))
-        assert np.all(transverse_projector(1.0) == np.diag([1.0, 1.0, 0.0]))
-
     def test_context_validation(self):
         with pytest.raises(InputError):
             PlaneWaveContext(k=-1.0, polarization=POL, omega=1.0)
@@ -216,8 +209,12 @@ class TestTreePropagators:
         assert slopes[0] == pytest.approx(slopes[1], rel=1e-6)
 
     def test_reciprocity(self, lossy):
-        g0 = tree_propagators(lossy, ctx(1.3, 0.8))
-        assert g0.mixing_reciprocity_defect() < 1e-12
+        # G0_AX = G0_XA^T on every sample of a stack
+        for n in (3, 4):
+            k, w, gam = _samples(lossy, np.linspace(0.4, 1.6, n), ks=(1.3,))
+            g0 = _tree_propagators(lossy, k, w, gam)
+            assert g0.ax.shape == (n, 3, 3)
+            assert np.array_equal(g0.ax, np.swapaxes(g0.xa, -1, -2))
 
 
 class TestVertex:
@@ -424,8 +421,8 @@ class TestBatchedFieldSpace:
         omegas = np.concatenate([rng.uniform(0.005, top, 9), -rng.uniform(0.005, top, 4)])
         k, w, gam = _samples(medium, omegas)
         g0 = _tree_propagators(medium, k, w, gam)
-        pi = _self_energy(medium, ANISOTROPIC, w, gam, quad)
-        dressed = _dyson_dress(g0, pi.value)
+        pi = self_energy(medium, ANISOTROPIC, w, quad)
+        dressed = dyson_dress(g0, pi.value)
         for i in range(w.size):
             c = ctx(float(k[i]), float(w[i]))
             one = tree_propagators(medium, c)
@@ -465,10 +462,10 @@ class TestBatchedFieldSpace:
         k, w, gam = _samples(lossy, np.geomspace(0.005, 3.0, 20))
         g0 = _tree_propagators(lossy, k, w, gam)
         if source == "loop":
-            pi = _self_energy(lossy, ANISOTROPIC, w, gam, LoopQuadrature(1024, 12.0)).value
+            pi = self_energy(lossy, ANISOTROPIC, w, LoopQuadrature(1024, 12.0)).value
         else:
             pi = rng.normal(size=(w.size, 3, 3)) + 1j * rng.normal(size=(w.size, 3, 3))
-        g = _dyson_dress(g0, pi).resummed
+        g = dyson_dress(g0, pi).resummed
 
         def full(m):
             return np.block([[m.aa, m.ax], [m.xa, m.xx]])
@@ -493,8 +490,8 @@ class TestBatchedFieldSpace:
         lam = lambda_isotropic(0.25, 0.4, 0.35) if coupling == "isotropic" else ANISOTROPIC
         k, w, gam = _samples(medium, np.geomspace(0.005, top, 8))
         g0 = _tree_propagators(medium, k, w, gam)
-        pi = _self_energy(medium, lam, w, gam, quad)
-        dressed = _dyson_dress(g0, pi.value)
+        pi = self_energy(medium, lam, w, quad)
+        dressed = dyson_dress(g0, pi.value)
         for i in range(w.size):
             c = ctx(float(k[i]), float(w[i]))
             ref = tree_propagators_per_sample(medium, c)

@@ -245,7 +245,11 @@ class TestOneKernelCallPerConsumer:
         ctx = fieldspace.PlaneWaveContext(k=1.3, polarization=[1.0, 0.0, 0.0], omega=0.8)
         fieldspace.tree_propagators(lossy, ctx)
         fieldspace.photon_green(lossy, ctx)
-        assert calls == [4, 4, 1, 1]
+        # the self-energy's one call: its two frequencies and the loop nodes
+        quad = fieldspace.LoopQuadrature(1024, 12.0)
+        fieldspace.self_energy(lossy, lam, [0.8, -0.5], quad)
+        nodes = np.unique(np.abs(np.concatenate([[0.8, 0.5], *fieldspace._loop_windows(quad)])))
+        assert calls == [4, 4, 1, 1, np.count_nonzero(nodes)]
 
     def test_miller_ratio(self, calls, lossy):
         lam = nonlinear.lambda_isotropic(0.25, 0.4, 0.35)
@@ -277,7 +281,8 @@ class TestOneKernelCallPerConsumer:
         assert np.all(fieldspace.tree_propagators(vacuum, ctx).xx == 0.0)
         assert calls == []
 
-    # one call on the five grid frequencies; dyson adds the loop's call
+    # one call on the five grid frequencies; dyson adds the self-energy's
+    # call, which evaluates the grid again with the loop nodes
     @pytest.mark.parametrize("command, count", [("chi1", 1), ("chi3", 1), ("propagators", 1), ("dyson", 2)])
     def test_cli_commands(self, calls, tmp_path, command, count):
         nu = {"type": "constant", "nu0": 0.1, "omega_cut": 6.0}

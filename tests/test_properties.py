@@ -1,4 +1,4 @@
-"""Property tests of the vectorised linear-response core, chi3 and the comb displacement over random media.
+"""Property tests of the vectorised linear-response core, chi3, the comb displacement and the field space.
 
 Media are drawn with flat (``NuConstant``) and tabulated couplings.  Grids
 mix random frequencies of both signs with 0 and with nodes the kernel
@@ -19,11 +19,13 @@ from conftest import chi3_two_permutation, kk_reconstruct_loop, naive_displaceme
 from nlmedium.displacement import FrequencyComb, displacement
 from nlmedium import medium as medium_module
 from nlmedium.errors import GridResolutionError, InputError, MillerRatioError, ResponsePoleError
+from nlmedium.fieldspace import LoopQuadrature, _tree_propagators, dyson_dress, self_energy
 from nlmedium.medium import (
     _CHUNK_ELEMENTS,
     MediumParams,
     NuConstant,
     NuTabulated,
+    NuZero,
     _base_sums,
     _static_nodes,
     chi1,
@@ -31,7 +33,7 @@ from nlmedium.medium import (
     kk_reconstruct,
     reservoir_kernel,
 )
-from nlmedium.nonlinear import chi3, miller_ratio
+from nlmedium.nonlinear import chi3, lambda0_tensor, miller_ratio
 
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -281,3 +283,63 @@ def test_comb_closure(case):
     # both sides follow the written definition of the comb arithmetic
     w, got = out.lines[pick % len(out.lines)]
     assert got.tobytes() == naive_displacement_line(comb, medium, lam, w).tobytes()
+
+
+# a lossy medium with a loop that converges on it, and the same medium outside matter (g = 0)
+_LOSSY = MediumParams(omega0=1.0, chi_s=1.0, alpha=0.5, rho=0.2, nu=NuConstant(0.1, 10.0), loop_cutoff=30.0)
+_LOOPS = [(_LOSSY, LoopQuadrature(1024, 12.0)), (dataclasses.replace(_LOSSY, nu=NuZero(), g=0), LoopQuadrature(256, 10.0))]
+_RNG = np.random.default_rng(8)
+_TABLE = _RNG.normal(size=(3, 3, 3, 3)) + 1j * _RNG.normal(size=(3, 3, 3, 3))
+_COUPLING = 0.05 * (_TABLE + _TABLE.transpose(2, 3, 0, 1))
+_BLOCKS = ("aa", "ax", "xa", "xx")
+
+
+def _frequencies(draw, shape):
+    """Frequencies of ``shape`` with 0.05 <= |w| <= 3, of both signs."""
+    magnitude = draw(hnp.arrays(np.float64, shape, elements=st.floats(min_value=0.05, max_value=3.0)))
+    return magnitude * draw(hnp.arrays(np.float64, shape, elements=st.sampled_from([-1.0, 1.0])))
+
+
+@SETTINGS
+@given(st.data(), hnp.mutually_broadcastable_shapes(num_shapes=4, max_dims=2, min_side=0, max_side=3))
+def test_array_entry_points_equal_elementwise_scalar_calls(data, shapes):
+    # 0-d, 1-d, 2-d and empty inputs: each entry of an array result is
+    # bitwise the result of the scalar call at that entry's frequencies
+    medium, quad = data.draw(st.sampled_from(_LOOPS))
+    w1, w2, w3, w4 = (_frequencies(data.draw, shape) for shape in shapes.input_shapes)
+    shape = shapes.result_shape
+    w = np.broadcast_to(w1 - w2 + w3, shape)
+    lam0 = lambda0_tensor(_COUPLING, medium, w1, w2, w3, w4)
+    x3 = chi3(medium, _COUPLING, w, w1, w2, w3)
+    # the self-energy and the Dyson step over the broadcast w4
+    w4 = np.broadcast_to(w4, shape)
+    pi = self_energy(medium, _COUPLING, w4, quad)
+    flat = w4.reshape(-1)
+    # k = 1.3 at w > 0 inside the lossy medium, whose kernel has no real zero; k = 0 in vacuum
+    k = np.where(flat > 0.0, 1.3, 0.0) if medium.g else np.zeros(flat.shape)
+    g0 = _tree_propagators(medium, k, flat, gamma_response(medium, flat) if medium.g else None)
+    g0 = g0._map(lambda block: block.reshape(shape + (3, 3)))
+    noise = data.draw(hnp.arrays(np.float64, (2,) + shape + (3, 3), elements=st.floats(-1.0, 1.0)))
+    sigma = pi.value + 0.1 * (noise[0] + 1j * noise[1])
+    dressed = dyson_dress(g0, sigma)
+    assert lam0.shape == x3.shape == shape + (3, 3, 3, 3) and pi.value.shape == shape + (3, 3)
+    for field in ("error_estimate", "discretization_error", "tail_error"):
+        assert np.shape(getattr(pi, field)) == shape
+    for form in ("single", "resummed"):
+        assert all(getattr(getattr(dressed, form), block).shape == shape + (3, 3) for block in _BLOCKS)
+
+    for i in np.ndindex(shape):
+        f1, f2, f3, f4 = (float(np.broadcast_to(v, shape)[i]) for v in (w1, w2, w3, w4))
+        one = lambda0_tensor(_COUPLING, medium, f1, f2, f3, f4)
+        assert one.shape == (3, 3, 3, 3) and one.tobytes() == lam0[i].tobytes()
+        assert chi3(medium, _COUPLING, float(w[i]), f1, f2, f3).tobytes() == x3[i].tobytes()
+        one_pi = self_energy(medium, _COUPLING, f4, quad)
+        assert one_pi.value.tobytes() == pi.value[i].tobytes()
+        for field in ("error_estimate", "discretization_error", "tail_error"):
+            assert type(getattr(one_pi, field)) is float
+            assert getattr(one_pi, field) == np.asarray(getattr(pi, field))[i]
+        one_dressed = dyson_dress(g0._map(lambda block: block[i]), sigma[i])
+        for form in ("single", "resummed"):
+            for block in _BLOCKS:
+                got = getattr(getattr(dressed, form), block)[i]
+                assert getattr(getattr(one_dressed, form), block).tobytes() == got.tobytes()

@@ -1,4 +1,4 @@
-"""README's CLI block runs as written, on README's example config."""
+"""README's CLI block runs as written, on README's example config, and so does its library quick start."""
 
 import json
 import pathlib
@@ -52,3 +52,9 @@ def test_readme_cli_line_runs(line, tmp_path, monkeypatch):
     if argv[3] == "kk-check":
         report = json.loads((tmp_path / "out" / "kk_check.json").read_text())
         assert report["pass"] is True
+
+
+def test_readme_library_quick_start_runs():
+    namespace = {}
+    exec(_block("## Library quick start", "python"), namespace)
+    assert namespace["x3s"].shape == (6, 3, 3, 3, 3)
