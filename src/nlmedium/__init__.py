@@ -22,12 +22,12 @@ from .nonlinear import (
     SourceDressedTensors,
     chi3,
     lambda0_tensor,
-    lambda_from_config,
     lambda_isotropic,
     miller_ratio,
     source_dressed_tensors,
 )
 from .displacement import FrequencyComb, displacement, extract_chi1_fd, extract_chi3_fd
+from .serialize import lambda_from_config
 from .fieldspace import (
     DressedPropagators,
     LoopQuadrature,
@@ -47,7 +47,6 @@ from .fieldspace import (
 from .duffing import (
     CompareReport,
     DuffingParams,
-    HarmonicSpectrum,
     compare_chi3,
     duffing_from_medium,
     harmonic_amplitudes,

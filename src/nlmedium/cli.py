@@ -1,18 +1,19 @@
 """Command dispatch and artifact emission.
 
-Every run decodes one parsed config dict with ``RunConfig.from_config``:
-the ``--config`` file (an empty one without it) with the ``--medium`` and
-``--lambda`` files, when given, in place of those sections.  Both entry
-points thus share one set of defaults, and each file is read once.  An
-integer key (``medium.g``, ``grids.omega.n``, ``loop.n_points``,
-``drive.ladder``, ``seed``) takes an integral number: 0.5 is a validation
-error, not 0.  Every input file is read by ``serialize.load_json_file``,
-which rejects ``NaN`` and infinite numbers; the number flags (``--k``,
-``--drive-freq`` and the parts of ``--omega-grid``) take finite numbers
-only, and a negative ``k`` is a validation error.  The commands that read
-the response at many frequencies (``chi1``, ``kk-check``, ``chi3``,
-``propagators``, ``dyson``) first evaluate it at all of them in one kernel
-call; ``chi3`` calls the library's ``chi3`` once on all its quadruples.
+Every run decodes one parsed config dict with ``RunConfig.from_config``
+(``serialize``, which holds every input decoder): the ``--config`` file
+(an empty one without it) with the ``--medium`` and ``--lambda`` files,
+when given, in place of those sections.  Both entry points thus share one
+set of defaults, and each file is read once.  The flags that override a
+config value (``--out``, ``--format``, ``--seed``, ``--omega-grid``,
+``--k``, ``--drive-freq``, ``--ladder``) replace it in the decoded
+``RunConfig``, after the whole config has been validated, so the handlers
+read only the ``RunConfig``.  The number flags (``--k``, ``--drive-freq``
+and the parts of ``--omega-grid``) take finite numbers only, and a
+negative ``k`` is a validation error.  The commands that read the
+response at many frequencies (``chi1``, ``kk-check``, ``chi3``,
+``propagators``, ``dyson``) first evaluate it at all of them in one
+kernel call; ``chi3`` calls the library's ``chi3`` once on all its quadruples.
 ``propagators`` and ``dyson`` then evaluate all their (k, omega) samples
 as arrays: the scalar Green function and the tree blocks on every sample
 at once (the one private name the CLI imports, ``_tree_propagators``,
@@ -29,17 +30,18 @@ medium returns scalars (``Gamma = gamma I``); ``chi1`` alone writes the
 Exit codes: 0 success, 2 validation error (including a missing or
 malformed config value), 3 numerical-convergence error, 64 usage error
 (unknown command or bad flags), 65 malformed JSON input.  Identical
-configuration and seed produce byte-identical artifacts.
+configuration and seed produce byte-identical artifacts on the same numpy
+version, SIMD dispatch path and OpenBLAS core.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,18 +49,17 @@ from .displacement import displacement as _run_displacement
 from .duffing import compare_chi3 as _run_compare_chi3
 from .errors import InputError, NlmediumError, NumericsError
 from .fieldspace import LoopQuadrature, PropagatorMatrix, _tree_propagators, dyson_dress, self_energy
-from .medium import (
-    MediumParams,
-    NuZero,
-    _config_value,
-    _integer,
-    _reject_unknown_keys,
-    chi1,
-    gamma_response,
-    kk_reconstruct,
+from .medium import MediumParams, NuZero, chi1, gamma_response, kk_reconstruct
+from .nonlinear import chi3
+from .serialize import (
+    RunConfig,
+    comb_from_obj,
+    comb_to_obj,
+    grid_from_config,
+    load_json_file,
+    write_csv,
+    write_json,
 )
-from .nonlinear import chi3, lambda_from_config
-from .serialize import comb_from_obj, comb_to_obj, load_json_file, write_csv, write_json
 
 __all__ = ["RunConfig", "run", "main", "COMMANDS"]
 
@@ -78,72 +79,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# keys the config sections may hold; "medium" is checked by MediumParams
-_SECTION_KEYS = {
-    "grids": ("omega", "k", "quadruples"),
-    "loop": ("n_points", "cutoff"),
-    "drive": ("freq", "ladder"),
-    "outputs": ("dir", "format"),
-}
-
-
-@dataclass
-class RunConfig:
-    """Everything a pipeline run needs, decoded from the JSON config."""
-
-    medium: MediumParams
-    lam: np.ndarray | None
-    omega_grid: np.ndarray
-    k_values: np.ndarray
-    quadruples: list
-    loop_n_points: int
-    loop_cutoff: float | None
-    drive_freq: float | None
-    drive_ladder: int
-    seed: int
-    out_dir: str
-    out_format: str
-
-    @classmethod
-    def from_config(cls, cfg: dict, out_dir=None, out_format=None, seed=None) -> "RunConfig":
-        """Decode a parsed config; the arguments, when given, override its outputs and seed."""
-        if "medium" not in cfg:
-            raise InputError("config needs a 'medium' section")
-        for section, known in _SECTION_KEYS.items():
-            _reject_unknown_keys(section, cfg.get(section, {}), known)
-        medium = MediumParams.from_config(cfg["medium"])
-        lam = lambda_from_config(cfg["lambda"]) if "lambda" in cfg else None
-        grids = cfg.get("grids", {})
-        default_omega = {"start": 0.0, "stop": 2.0 * medium.omega0, "n": 65}
-        omega_grid = _config_value("grids", grids, "omega", _decode_grid, default_omega)
-        k_values = _config_value("grids", grids, "k", lambda v: np.asarray(v, dtype=float), [0.0])
-        quadruples = _config_value("grids", grids, "quadruples", lambda qs: [tuple(map(float, q)) for q in qs], [])
-        loop = cfg.get("loop", {})
-        outputs = cfg.get("outputs", {})
-        config_dir = _config_value("outputs", outputs, "dir", os.fspath, ".")
-        config_format = _config_value("outputs", outputs, "format", _artifact_format, "csv")
-        return cls(
-            medium=medium,
-            lam=lam,
-            omega_grid=omega_grid,
-            k_values=np.atleast_1d(k_values),
-            quadruples=quadruples,
-            loop_n_points=_config_value("loop", loop, "n_points", _integer, 2048),
-            loop_cutoff=_config_value("loop", loop, "cutoff", float) if "cutoff" in loop else None,
-            drive_freq=_config_value("drive", cfg["drive"], "freq", float) if "drive" in cfg else None,
-            drive_ladder=_config_value("drive", cfg.get("drive", {}), "ladder", _integer, 5),
-            seed=int(seed) if seed is not None else _config_value("top level", cfg, "seed", _integer, 0),
-            out_dir=out_dir or config_dir,
-            out_format=out_format or config_format,
-        )
-
-
-def _artifact_format(value) -> str:
-    if value not in ("csv", "json"):
-        raise ValueError("expected 'csv' or 'json'")
-    return value
-
-
 def _finite_float(text: str) -> float:
     """A flag's number; as in input files, NaN and the infinities are rejected."""
     try:
@@ -153,18 +88,6 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
-
-
-def _decode_grid(spec) -> np.ndarray:
-    if isinstance(spec, dict):
-        start = _config_value("grids.omega", spec, "start", float)
-        stop = _config_value("grids.omega", spec, "stop", float)
-        grid = np.linspace(start, stop, _config_value("grids.omega", spec, "n", _integer))
-    else:
-        grid = np.asarray(spec, dtype=float)
-    if grid.size == 0 or np.any(np.diff(grid) <= 0):
-        raise InputError("frequency grid must be non-empty and ascending")
-    return grid
 
 
 def _need_lambda(config: RunConfig) -> np.ndarray:
@@ -262,15 +185,7 @@ def _samples(k, omega, blocks: PropagatorMatrix, **extra) -> list:
 
 
 def _cmd_propagators(config: RunConfig, args) -> list:
-    omega_grid = config.omega_grid
-    if args.omega_grid:
-        try:
-            start, stop, count = args.omega_grid.split(":")
-            omega_grid = _decode_grid({"start": _finite_float(start), "stop": _finite_float(stop), "n": int(count)})
-        except (ValueError, argparse.ArgumentTypeError):
-            raise InputError("--omega-grid expects start:stop:n with finite start and stop") from None
-    k_values = config.k_values if not args.k_values else np.asarray(args.k_values, dtype=float)
-    k, omega, g0 = _tree_samples(config.medium, k_values, omega_grid)
+    k, omega, g0 = _tree_samples(config.medium, config.k_values, config.omega_grid)
     return _emit_json(config, "propagators.json", {"seed": config.seed, "samples": _samples(k, omega, g0)})
 
 
@@ -316,11 +231,9 @@ def _cmd_displacement(config: RunConfig, args) -> list:
 
 def _cmd_duffing_compare(config: RunConfig, args) -> list:
     lam = _need_lambda(config)
-    drive = args.drive_freq if args.drive_freq is not None else config.drive_freq
-    if drive is None:
+    if config.drive_freq is None:
         raise InputError("duffing-compare needs a drive frequency")
-    ladder = args.ladder if args.ladder is not None else config.drive_ladder
-    report = _run_compare_chi3(config.medium, lam, float(drive), ladder=int(ladder))
+    report = _run_compare_chi3(config.medium, lam, config.drive_freq, ladder=config.drive_ladder)
     return _emit_json(config, "duffing_compare.json", dict(report.to_dict(), seed=config.seed))
 
 
@@ -394,6 +307,35 @@ def _read_config(args) -> dict:
     return cfg
 
 
+def _grid_flag(text: str) -> np.ndarray:
+    """The ``--omega-grid start:stop:n`` grid, decoded as the config's ``{"start", "stop", "n"}``."""
+    try:
+        start, stop, count = text.split(":")
+        return grid_from_config({"start": _finite_float(start), "stop": _finite_float(stop), "n": int(count)})
+    except (ValueError, argparse.ArgumentTypeError):
+        raise InputError("--omega-grid expects start:stop:n with finite start and stop") from None
+
+
+def _run_config(args) -> RunConfig:
+    """The decoded config with every flag that overrides it.
+
+    The whole config is decoded, and so validated, before a flag replaces
+    any of its values.
+    """
+    config = RunConfig.from_config(_read_config(args))
+    omega_grid, k_values = getattr(args, "omega_grid", None), getattr(args, "k_values", None)
+    flags = {
+        "out_dir": args.out or None,
+        "out_format": args.format,
+        "seed": args.seed,
+        "omega_grid": _grid_flag(omega_grid) if omega_grid else None,
+        "k_values": np.asarray(k_values, dtype=float) if k_values else None,
+        "drive_freq": getattr(args, "drive_freq", None),
+        "drive_ladder": getattr(args, "ladder", None),
+    }
+    return dataclasses.replace(config, **{name: value for name, value in flags.items() if value is not None})
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -407,7 +349,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     try:
-        config = RunConfig.from_config(_read_config(args), out_dir=args.out, out_format=args.format, seed=args.seed)
+        config = _run_config(args)
         artifacts = run(args.command, config, args)
     except json.JSONDecodeError as exc:
         sys.stderr.write(f"error: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}\n")

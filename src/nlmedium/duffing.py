@@ -45,7 +45,6 @@ from .medium import MediumParams, reservoir_kernel
 __all__ = [
     "DuffingParams",
     "Trajectory",
-    "HarmonicSpectrum",
     "simulate",
     "harmonic_amplitudes",
     "perturbative_reference",
@@ -64,7 +63,6 @@ class DuffingParams:
     eta: float
     drive_amp: float
     drive_freq: float
-    coupling: float = 1.0
 
     def __post_init__(self):
         if self.omega0 <= 0 or self.drive_freq <= 0:
@@ -84,16 +82,6 @@ class Trajectory:
     t: np.ndarray
     x: np.ndarray
     v: np.ndarray
-
-
-@dataclass(frozen=True)
-class HarmonicSpectrum:
-    """Complex amplitude per harmonic index of the drive frequency."""
-
-    amplitudes: dict
-
-    def __getitem__(self, n: int) -> complex:
-        return self.amplitudes[n]
 
 
 def _rk4(params: DuffingParams, dt: float, n_steps: int, x: float, v: float, keep_from: int) -> Trajectory:
@@ -235,8 +223,8 @@ def _trim_to_periods(t: np.ndarray, omega_d: float):
     return best
 
 
-def harmonic_amplitudes(trajectory: Trajectory, omega_d: float, n_max: int) -> HarmonicSpectrum:
-    """Drive-harmonic amplitudes A_n = (2/T) int x(t) exp(-i n wd t) dt.
+def harmonic_amplitudes(trajectory: Trajectory, omega_d: float, n_max: int) -> dict:
+    """Drive-harmonic amplitudes A_n = (2/T) int x(t) exp(-i n wd t) dt, as ``{n: A_n}`` for n = 1..n_max.
 
     The window is trimmed to an integer number of drive periods; residual
     misalignment beyond 0.1% of a period raises ``WindowAlignmentError``.
@@ -251,7 +239,7 @@ def harmonic_amplitudes(trajectory: Trajectory, omega_d: float, n_max: int) -> H
     for n in range(1, n_max + 1):
         kernel = xw * np.exp(-1j * n * omega_d * tw)
         amps[n] = complex(2.0 * np.trapezoid(kernel, tw) / width)
-    return HarmonicSpectrum(amplitudes=amps)
+    return amps
 
 
 def perturbative_reference(params: DuffingParams) -> complex:
@@ -284,7 +272,6 @@ def duffing_from_medium(medium: MediumParams, lam: np.ndarray, drive_freq: float
         eta=eta,
         drive_amp=drive_amp,
         drive_freq=drive_freq,
-        coupling=medium.alpha,
     )
 
 
@@ -332,6 +319,10 @@ def _energy_balance(traj: Trajectory, params: DuffingParams) -> float:
     return abs(p_in - p_diss) / p_diss
 
 
+# fewest RK4 steps per drive period of a ladder rung
+_SAMPLES_PER_PERIOD = 160
+
+
 def _displacement_thg_ratio(medium: MediumParams, lam: np.ndarray, wd: float) -> complex:
     """Comb-path prediction for the oscillator ratio A3/A1**3.
 
@@ -362,7 +353,6 @@ def _drive_ladder(
     drive_freq: float,
     ladder: int,
     base_amp: float | None,
-    samples_per_period: int,
 ) -> tuple:
     """Oscillator constants and the periodic orbit of every ladder rung.
 
@@ -386,7 +376,7 @@ def _drive_ladder(
 
     period = 2.0 * math.pi / wd
     # integer samples per period, dense enough for the fastest scale
-    spp = max(samples_per_period, int(math.ceil(period * max(params0.omega0, wd) / 0.04)))
+    spp = max(_SAMPLES_PER_PERIOD, int(math.ceil(period * max(params0.omega0, wd) / 0.04)))
     lin = base_amp / (params0.omega0**2 - wd**2 + 1j * gamma * wd)
     z = (lin.real, -wd * lin.imag)
     rungs = []
@@ -397,7 +387,6 @@ def _drive_ladder(
             eta=params0.eta,
             drive_amp=base_amp * 2.0**j,
             drive_freq=wd,
-            coupling=params0.coupling,
         )
         orbit = _periodic_orbit(params, spp, z)
         rungs.append((params, orbit))
@@ -411,7 +400,6 @@ def compare_chi3(
     drive_freq: float,
     ladder: int = 5,
     base_amp: float | None = None,
-    samples_per_period: int = 160,
 ) -> CompareReport:
     """Drive-amplitude ladder: cubic scaling and ratio cross-checks.
 
@@ -425,7 +413,7 @@ def compare_chi3(
     quality drops below R**2 = 0.999 (drive too strong or too weak for
     clean cubic scaling).
     """
-    params0, rungs = _drive_ladder(medium, lam, drive_freq, ladder, base_amp, samples_per_period)
+    params0, rungs = _drive_ladder(medium, lam, drive_freq, ladder, base_amp)
     wd = params0.drive_freq
     spectra = [harmonic_amplitudes(orbit, wd, 3) for _, orbit in rungs]
     energy_err = max(_energy_balance(orbit, params) for params, orbit in rungs)

@@ -63,7 +63,6 @@ __all__ = [
     "gamma_response",
     "chi1",
     "kk_reconstruct",
-    "nu_from_config",
 ]
 
 @dataclass(frozen=True)
@@ -78,9 +77,6 @@ class NuZero:
 
     def breakpoints(self):
         return np.asarray([])
-
-    def to_config(self):
-        return {"type": "zero"}
 
 
 @dataclass(frozen=True)
@@ -103,9 +99,6 @@ class NuConstant:
 
     def breakpoints(self):
         return np.asarray([self.omega_cut])
-
-    def to_config(self):
-        return {"type": "constant", "nu0": self.nu0, "omega_cut": self.omega_cut}
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,76 +137,6 @@ class NuTabulated:
     def breakpoints(self):
         return self.grid
 
-    def to_config(self):
-        vals = np.asarray(self.values)
-        if np.iscomplexobj(vals):
-            out = [[float(v.real), float(v.imag)] for v in vals]
-        else:
-            out = [float(v) for v in vals]
-        return {"type": "tabulated", "grid": [float(g) for g in self.grid], "values": out}
-
-
-def nu_from_config(cfg) -> NuZero | NuConstant | NuTabulated:
-    """Build a coupling spec from its JSON form (see ``to_config``)."""
-    if cfg is None:
-        return NuZero()
-    _reject_unknown_keys("medium.nu", cfg, ("type", "nu0", "omega_cut", "grid", "values"))
-    kind = cfg.get("type", "zero")
-    if kind == "zero":
-        return NuZero()
-    if kind == "constant":
-        nu0 = _config_value("medium.nu", cfg, "nu0", float)
-        return NuConstant(nu0=nu0, omega_cut=_config_value("medium.nu", cfg, "omega_cut", float))
-    if kind == "tabulated":
-        values = _config_value("medium.nu", cfg, "values", _tabulated_values)
-        grid = _config_value("medium.nu", cfg, "grid", lambda v: np.asarray(v, dtype=float))
-        return NuTabulated(grid=grid, values=values)
-    raise InputError(f"unknown coupling type {kind!r}")
-
-
-def _tabulated_values(entries) -> np.ndarray:
-    return np.asarray([complex(v[0], v[1]) if isinstance(v, (list, tuple)) else float(v) for v in entries])
-
-
-_REQUIRED = object()
-
-
-def _config_value(section: str, cfg: dict, key: str, convert, default=_REQUIRED):
-    """``convert(cfg[key])``, with ``default`` standing in for an absent key.
-
-    A missing key without a default, or a value that ``convert`` rejects
-    with ``TypeError``, ``ValueError`` or ``OverflowError`` (an integer
-    too large for a float), raises ``InputError`` naming the section and
-    the key.
-    """
-    value = cfg.get(key, default)
-    if value is _REQUIRED:
-        raise InputError(f"config section {section!r} needs key {key!r}")
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"bad value for key {key!r} in config section {section!r}") from None
-
-
-def _integer(value) -> int:
-    """An integral config number as an int.
-
-    A fractional value (0.5), an infinite one, a string or ``None`` raises
-    ``ValueError``: ``int`` would truncate 0.5 to 0 without a word.
-    """
-    if isinstance(value, int) or (isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise ValueError(f"expected an integer, got {value!r}")
-
-
-def _reject_unknown_keys(section: str, cfg: dict, known) -> None:
-    """Raise ``InputError`` naming the first key of ``cfg`` not in ``known``."""
-    if not isinstance(cfg, dict):
-        raise InputError(f"config section {section!r} must be an object")
-    unknown = sorted(set(cfg) - set(known))
-    if unknown:
-        raise InputError(f"unknown key {unknown[0]!r} in config section {section!r}")
-
 
 @dataclass(frozen=True)
 class MediumParams:
@@ -249,35 +172,6 @@ class MediumParams:
             raise InputError("g must be 0 or 1")
         if self.eps0 <= 0 or self.mu0 <= 0:
             raise InputError("vacuum constants must be positive")
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "MediumParams":
-        _reject_unknown_keys("medium", cfg, cls.__dataclass_fields__)
-        omega0 = _config_value("medium", cfg, "omega0", float)
-        return cls(
-            omega0=omega0,
-            chi_s=_config_value("medium", cfg, "chi_s", float),
-            alpha=_config_value("medium", cfg, "alpha", float, 1.0),
-            rho=_config_value("medium", cfg, "rho", float),
-            nu=nu_from_config(cfg.get("nu")),
-            g=_config_value("medium", cfg, "g", _integer, 1),
-            eps0=_config_value("medium", cfg, "eps0", float, 1.0),
-            mu0=_config_value("medium", cfg, "mu0", float, 1.0),
-            loop_cutoff=_config_value("medium", cfg, "loop_cutoff", float, 20.0 * omega0),
-        )
-
-    def to_config(self) -> dict:
-        return {
-            "omega0": self.omega0,
-            "chi_s": self.chi_s,
-            "alpha": self.alpha,
-            "rho": self.rho,
-            "nu": self.nu.to_config(),
-            "g": self.g,
-            "eps0": self.eps0,
-            "mu0": self.mu0,
-            "loop_cutoff": self.loop_cutoff,
-        }
 
 
 # Row chunks keep every (rows x nodes) temporary of the kernel and of the

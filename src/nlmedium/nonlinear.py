@@ -32,11 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnergyConservationError, InputError, MillerRatioError
-from .medium import MediumParams, _config_value, _reject_unknown_keys, gamma_response
+from .medium import MediumParams, gamma_response
 
 __all__ = [
     "lambda_isotropic",
-    "lambda_from_config",
     "validate_pairwise_symmetry",
     "lambda0_tensor",
     "SourceDressedTensors",
@@ -74,33 +73,6 @@ def validate_pairwise_symmetry(lam: np.ndarray, tol: float = 1e-14) -> None:
     scale = max(float(np.max(np.abs(lam))), 1.0)
     if dev > tol * scale:
         raise InputError("coupling tensor breaks pairwise-exchange symmetry")
-
-
-def lambda_from_config(cfg) -> np.ndarray:
-    """Build the coupling tensor from its JSON form.
-
-    Accepts ``{"isotropic": [l1, l2, l3]}`` or ``{"table": [81 entries]}``
-    in row-major slot order; table entries may be numbers or [re, im]
-    pairs.  Full tables are validated against pairwise-exchange symmetry.
-    """
-    _reject_unknown_keys("lambda", cfg, ("isotropic", "table"))
-    if "isotropic" in cfg:
-        weights = _config_value("lambda", cfg, "isotropic", lambda v: [float(x) for x in v])
-        if len(weights) != 3:
-            raise InputError("isotropic coupling needs three weights")
-        return lambda_isotropic(*weights)
-    if "table" in cfg:
-        flat = _config_value("lambda", cfg, "table", _table_entries)
-        if flat.shape != (81,):
-            raise InputError("coupling table must have 81 entries")
-        lam = flat.reshape(3, 3, 3, 3)
-        validate_pairwise_symmetry(lam)
-        return lam
-    raise InputError("coupling config needs 'isotropic' or 'table'")
-
-
-def _table_entries(entries) -> np.ndarray:
-    return np.asarray([complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v) for v in entries])
 
 
 def _dress(lam: np.ndarray, g: int, gammas) -> np.ndarray:

@@ -564,7 +564,6 @@ def compare_chi3_long_run(
             eta=params0.eta,
             drive_amp=amp,
             drive_freq=wd,
-            coupling=params0.coupling,
         )
         traj = simulate(params, t_end, dt)
         spec = harmonic_amplitudes(traj, wd, 3)

@@ -12,14 +12,16 @@ from hypothesis.extra import numpy as hnp
 from conftest import dumps_canonical_prepass, write_csv_per_cell
 from nlmedium import cli, fieldspace, serialize
 from nlmedium.cli import EXIT_BAD_JSON, EXIT_NUMERICS, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from nlmedium.medium import MediumParams, gamma_response
-from nlmedium.nonlinear import chi3, lambda_from_config
+from nlmedium.medium import gamma_response
+from nlmedium.nonlinear import chi3
 from nlmedium.serialize import (
     comb_from_obj,
     comb_to_obj,
     dumps_canonical,
     fmt_float,
+    lambda_from_config,
     load_json_file,
+    medium_from_config,
     write_csv,
 )
 
@@ -265,7 +267,7 @@ class TestCommands:
         path.write_text(json.dumps(cfg))
         assert main(["--config", str(path), "propagators"]) == EXIT_OK
         assert main(["--config", str(path), "dyson"]) == EXIT_OK
-        med = MediumParams.from_config(medium)
+        med = medium_from_config(medium)
         lam = lambda_from_config(cfg["lambda"])
         quad = fieldspace.LoopQuadrature(1024, 12.0)
         tree = read_json(tmp_path / "propagators.json")["samples"]
@@ -433,8 +435,34 @@ class TestExitCodes:
             ("medium.nu", "omega_cut", lambda cfg: cfg["medium"]["nu"].pop("omega_cut")),
             # a JSON integer that float() cannot convert (OverflowError)
             ("medium", "chi_s", lambda cfg: cfg["medium"].update(chi_s=10**400)),
+            # shapes are checked where the config is decoded, whether or not the command reads the key
+            ("grids", "quadruples", lambda cfg: cfg["grids"].update(quadruples=[[0.4, 0.15]])),
+            ("grids", "quadruples", lambda cfg: cfg["grids"].update(quadruples=[[0.4, 0.15, 0.7, 0.2]])),
+            ("grids", "omega", lambda cfg: cfg["grids"].update(omega=[[0.2, 0.5], [0.8, 1.1]])),
+            ("grids", "k", lambda cfg: cfg["grids"].update(k=[[0.0, 1.3]])),
+            # an [re, im] pair is exactly two numbers: a third one is not dropped
+            (
+                "medium.nu",
+                "values",
+                lambda cfg: cfg["medium"].update(
+                    nu={"type": "tabulated", "grid": [0.0, 3.0, 6.0], "values": [[0.1, 0.0, 7.0], 0.1, 0.1]}
+                ),
+            ),
+            ("lambda", "table", lambda cfg: cfg.update({"lambda": {"table": [[0.1, 0.0, 7.0]] + [0.0] * 80}})),
         ],
-        ids=["missing-rho", "text-n-points", "grid-without-n", "constant-nu-without-cut", "integer-beyond-float"],
+        ids=[
+            "missing-rho",
+            "text-n-points",
+            "grid-without-n",
+            "constant-nu-without-cut",
+            "integer-beyond-float",
+            "quadruple-of-two",
+            "quadruple-of-four",
+            "nested-omega",
+            "nested-k",
+            "nu-value-of-three",
+            "lambda-entry-of-three",
+        ],
     )
     def test_bad_config_value(self, config_path, tmp_path, capsys, section, key, edit):
         cfg = read_json(config_path)
@@ -490,6 +518,39 @@ class TestExitCodes:
         assert main(["--config", str(path), "chi1"]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert repr("outputs") in err and repr(key) in err
+
+    @pytest.mark.parametrize(
+        "section, key, edit, argv",
+        [
+            ("outputs", "format", lambda cfg: cfg["outputs"].update(format="JSON"), ["--format", "csv", "chi1"]),
+            ("outputs", "dir", lambda cfg: cfg["outputs"].update(dir=5), ["--out", "flag-out", "chi1"]),
+            ("top level", "seed", lambda cfg: cfg.update(seed=7.5), ["--seed", "7", "chi1"]),
+            (
+                "grids",
+                "omega",
+                lambda cfg: cfg["grids"].update(omega=[[0.2, 1.8]]),
+                ["propagators", "--omega-grid", "0.2:1.8:5"],
+            ),
+            ("grids", "k", lambda cfg: cfg["grids"].update(k="x"), ["propagators", "--k", "0.0"]),
+            ("drive", "freq", lambda cfg: cfg.update(drive={"freq": "x"}), ["duffing-compare", "--drive-freq", "0.24"]),
+            (
+                "drive",
+                "ladder",
+                lambda cfg: cfg.update(drive={"freq": 0.24, "ladder": 2.5}),
+                ["duffing-compare", "--ladder", "3"],
+            ),
+        ],
+        ids=["format", "out", "seed", "omega-grid", "k", "drive-freq", "ladder"],
+    )
+    def test_flag_does_not_hide_bad_config_value(self, config_path, tmp_path, capsys, section, key, edit, argv):
+        # the whole config is decoded before a flag replaces one of its values
+        cfg = read_json(config_path)
+        edit(cfg)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), *argv]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert repr(section) in err and repr(key) in err
 
     def test_bad_omega_grid_flag(self, config_path, capsys):
         assert main(["--config", config_path, "propagators", "--omega-grid", "0:1:x"]) == EXIT_VALIDATION
@@ -725,7 +786,7 @@ class TestWriterAgainstReference:
         out = tmp_path / fmt
         for command in ("chi1", "chi3"):
             assert main(["--config", str(path), "--out", str(out), "--format", fmt, command]) == EXIT_OK
-        medium = MediumParams.from_config(cfg["medium"])
+        medium = medium_from_config(cfg["medium"])
         lam = lambda_from_config(cfg["lambda"])
         grid = np.linspace(0.0, 3.0, 12)
         # the chi1 tensor chi1 I, from gamma

@@ -181,7 +181,7 @@ class TestPeriodicOrbit:
 
     def test_rungs_match_long_run(self, oracle_medium, lam):
         rep_long, spectra_long = compare_chi3_long_run(oracle_medium, lam, drive_freq=0.24, ladder=5)
-        params0, rungs = _drive_ladder(oracle_medium, lam, 0.24, 5, None, 160)
+        params0, rungs = _drive_ladder(oracle_medium, lam, 0.24, 5, None)
         for (_, orbit), long in zip(rungs, spectra_long, strict=True):
             spec = harmonic_amplitudes(orbit, 0.24, 3)
             assert abs(spec[1] / long[1] - 1.0) <= 1e-7
@@ -194,7 +194,7 @@ class TestPeriodicOrbit:
         # with no residual transient, A3/A1**3 departs from first-order
         # harmonic balance by the next order only, which grows as A1**2:
         # x4 per doubling of the drive
-        params0, rungs = _drive_ladder(oracle_medium, lam, 0.24, 5, None, 160)
+        params0, rungs = _drive_ladder(oracle_medium, lam, 0.24, 5, None)
         reference = perturbative_reference(params0)
         devs = []
         for _, orbit in rungs:
@@ -303,7 +303,7 @@ class TestCoreOracle:
         results = []
         for core in (duffing._rk4, rk4_reference):
             monkeypatch.setattr(duffing, "_rk4", core)
-            _, rungs = _drive_ladder(oracle_medium, lam, drive_freq, 5, None, 160)
+            _, rungs = _drive_ladder(oracle_medium, lam, drive_freq, 5, None)
             report = compare_chi3(oracle_medium, lam, drive_freq, ladder=5)
             results.append((report.to_dict(), [orbit for _, orbit in rungs]))
         (got, got_orbits), (want, want_orbits) = results

@@ -25,6 +25,7 @@ from nlmedium.medium import (
     kk_reconstruct,
     reservoir_kernel,
 )
+from nlmedium.serialize import medium_from_config
 
 
 def pv_half_residue_oracle(nu, rho, upper, w, n=200_001):
@@ -331,7 +332,9 @@ class TestChi1:
     def test_spectrum_isotropy(self, lossy, tmp_path):
         # every sample of the chi1 artifact is diagonal, with three entries
         # bitwise equal to the scalar chi1
-        cfg = {"medium": lossy.to_config(), "grids": {"omega": {"start": 0.1, "stop": 3.0, "n": 7}}}
+        medium = {"omega0": 1.0, "chi_s": 1.0, "alpha": 0.5, "rho": 0.2, "loop_cutoff": 30.0}
+        medium["nu"] = {"type": "constant", "nu0": 0.1, "omega_cut": 10.0}
+        cfg = {"medium": medium, "grids": {"omega": {"start": 0.1, "stop": 3.0, "n": 7}}}
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
         assert cli.main(["--config", str(path), "--out", str(tmp_path), "--format", "json", "chi1"]) == cli.EXIT_OK
@@ -411,13 +414,24 @@ class TestTypesAndConfig:
         with pytest.raises(InputError):
             MediumParams(omega0=1.0, chi_s=1.0, alpha=1.0, rho=1.0, loop_cutoff=0.5)
 
-    def test_config_round_trip(self, lossy):
-        again = MediumParams.from_config(lossy.to_config())
-        assert again.to_config() == lossy.to_config()
+    def test_config_decodes_to_medium(self, lossy):
+        # the lossy fixture as a JSON medium section
+        cfg = {"omega0": 1.0, "chi_s": 1.0, "alpha": 0.5, "rho": 0.2, "loop_cutoff": 30.0}
+        cfg["nu"] = {"type": "constant", "nu0": 0.1, "omega_cut": 10.0}
+        decoded = medium_from_config(json.loads(json.dumps(cfg)))
+        assert decoded == lossy
+        grid = np.linspace(0.0, 8.0, 33)
+        assert chi1(decoded, grid).tobytes() == chi1(lossy, grid).tobytes()
 
-    def test_tabulated_round_trip(self, smooth_lossy):
-        again = MediumParams.from_config(smooth_lossy.to_config())
-        assert chi1(again, 1.3) == chi1(smooth_lossy, 1.3)
+    def test_tabulated_config_decodes_to_medium(self, smooth_lossy):
+        grid = np.linspace(0.0, 16.0, 400)
+        nu = {"type": "tabulated", "grid": grid.tolist(), "values": (0.1 * np.exp(-((grid / 4.0) ** 2))).tolist()}
+        cfg = {"omega0": 1.0, "chi_s": 1.0, "alpha": 0.5, "rho": 0.05, "nu": nu, "loop_cutoff": 25.0}
+        decoded = medium_from_config(json.loads(json.dumps(cfg)))
+        # numbers decode to a real table, as the fixture holds
+        assert decoded.nu.values.dtype == smooth_lossy.nu.values.dtype == np.float64
+        omega = np.linspace(0.0, 20.0, 81)
+        assert chi1(decoded, omega).tobytes() == chi1(smooth_lossy, omega).tobytes()
 
     def test_complex_tabulated_coupling(self):
         grid = np.linspace(0.0, 8.0, 50)
@@ -425,7 +439,10 @@ class TestTypesAndConfig:
         med = MediumParams(
             omega0=1.0, chi_s=1.0, alpha=0.5, rho=0.5, nu=NuTabulated(grid, values), loop_cutoff=20.0
         )
-        # only |nu|^2 enters; the phase is irrelevant and round-trips
-        again = MediumParams.from_config(med.to_config())
-        assert chi1(again, 0.9) == chi1(med, 0.9)
+        # only |nu|^2 enters; the phase is irrelevant and [re, im] pairs decode exactly
+        nu = {"type": "tabulated", "grid": grid.tolist(), "values": [[v.real, v.imag] for v in values]}
+        cfg = {"omega0": 1.0, "chi_s": 1.0, "alpha": 0.5, "rho": 0.5, "nu": nu, "loop_cutoff": 20.0}
+        decoded = medium_from_config(json.loads(json.dumps(cfg)))
+        assert decoded.nu.values.tobytes() == values.tobytes()
+        assert chi1(decoded, 0.9) == chi1(med, 0.9)
         assert chi1(med, 0.9).imag > 0

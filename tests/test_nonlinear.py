@@ -6,12 +6,12 @@ from nlmedium.medium import MediumParams, chi1, gamma_response
 from nlmedium.nonlinear import (
     chi3,
     lambda0_tensor,
-    lambda_from_config,
     lambda_isotropic,
     miller_ratio,
     source_dressed_tensors,
     validate_pairwise_symmetry,
 )
+from nlmedium.serialize import lambda_from_config
 
 
 def brute_force_lambda0(lam, medium, w1, w2, w3, w4):
@@ -66,6 +66,9 @@ class TestLambdaTensors:
         table = [complex(v) for v in lam.reshape(-1)]
         lam2 = lambda_from_config({"table": [[v.real, v.imag] for v in table]})
         assert np.allclose(lam, lam2)
+        # a table is complex whether its entries are pairs or numbers
+        lam3 = lambda_from_config({"table": [v.real for v in table]})
+        assert lam2.dtype == lam3.dtype == np.complex128 and lam3.tobytes() == lam2.tobytes()
         with pytest.raises(InputError):
             lambda_from_config({"table": [0.0] * 80})
 
